@@ -71,10 +71,10 @@ int main() {
     const std::uint64_t cuts = lattice::latticeStats(vc).cutCount;
     const auto visit = [](const Cut&) { return true; };
     const auto [plain, budgeted] = measure(
-        [&] { lattice::exploreConsistentCuts(vc, visit, nullptr); },
+        [&] { lattice::explore(vc, visit); },
         [&] {
           control::Budget budget(farDeadline);
-          lattice::exploreConsistentCuts(vc, visit, &budget);
+          lattice::explore(vc, visit, {&budget});
         });
     table.row("lattice-bfs", std::to_string(cuts) + " cuts",
               bench::fmtMs(plain), bench::fmtMs(budgeted),

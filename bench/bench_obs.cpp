@@ -180,7 +180,7 @@ int main() {
     const auto visit = [](const Cut&) { return true; };
     kernelRow("lattice-bfs", [&] {
       for (int i = 0; i < 8; ++i) {
-        lattice::exploreConsistentCuts(vc, visit, nullptr);
+        lattice::explore(vc, visit);
       }
     });
   }

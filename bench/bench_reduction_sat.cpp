@@ -79,9 +79,9 @@ int main() {
     });
     bool latticeFound = false;
     const double latticeMs = bench::timeMs([&] {
-      latticeFound = lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
+      latticeFound = lattice::possibly(clocks, [&](const Cut& c) {
         return pred.holdsAtCut(trace, c);
-      });
+      }).witness.has_value();
     });
     e4.row(events, pred.clauses.size(), lowered.isSingular() ? "yes" : "NO",
            bench::fmtMs(detectMs), bench::fmtMs(latticeMs),

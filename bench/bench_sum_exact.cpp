@@ -78,9 +78,9 @@ int main() {
         [&] { viaThm = detect::definitelySum(clocks, trace, pred); });
     bool direct = false;
     const double directMs = bench::timeMs([&] {
-      direct = lattice::definitelyExhaustive(clocks, [&](const Cut& c) {
+      direct = lattice::definitely(clocks, [&](const Cut& c) {
         return pred.sumAtCut(trace, c) == pred.k;
-      });
+      }).holds;
     });
     e10.row(3, events, pred.k, bench::fmtMs(thmMs), bench::fmtMs(directMs),
             viaThm == direct ? "yes" : "NO");

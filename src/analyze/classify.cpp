@@ -215,21 +215,27 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
     }
   }
 
-  // One lattice sweep feeds both hints: the stability single-event-extension
-  // check runs inline, the cuts are collected for the linearity check.
+  // One lattice sweep feeds every hint: the stability single-event-extension
+  // check runs inline on each visited cut; the cuts are collected for the
+  // quadratic linearity/regularity checks only up to one past their limit,
+  // which is enough for those checks to answer Unknown.
   const auto phi = [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); };
   std::vector<Cut> cuts;
   std::vector<char> holds;
+  std::uint64_t visited = 0;
   bool capped = false;
   bool stableViolated = false;
-  lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
-    if (cuts.size() >= opts.latticeCutLimit) {
+  lattice::explore(clocks, [&](const Cut& cut) {
+    if (visited >= opts.latticeCutLimit) {
       capped = true;
       return false;
     }
+    ++visited;
     const bool h = phi(cut);
-    cuts.push_back(cut);
-    holds.push_back(h ? 1 : 0);
+    if (cuts.size() <= kLinearityCutLimit) {
+      cuts.push_back(cut);
+      holds.push_back(h ? 1 : 0);
+    }
     if (h && !stableViolated) {
       for (ProcessId p = 0; p < comp.processCount(); ++p) {
         if (cut.last[p] + 1 >= comp.eventCount(p)) continue;

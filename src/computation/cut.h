@@ -59,17 +59,22 @@ Cut join(const Cut& a, const Cut& b);
 Cut initialCut(const Computation& c);
 Cut finalCut(const Computation& c);
 
+// FNV-1a over the component indices of a cut given as n contiguous ints —
+// the hash of std::hash<Cut>, usable on cuts stored outside a Cut.
+inline std::size_t hashCut(const int* last, std::size_t n) noexcept {
+  std::size_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= static_cast<std::size_t>(last[i]) + 0x9e3779b97f4a7c15ULL;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 }  // namespace gpd
 
 template <>
 struct std::hash<gpd::Cut> {
   std::size_t operator()(const gpd::Cut& c) const noexcept {
-    // FNV-1a over the component indices.
-    std::size_t h = 1469598103934665603ULL;
-    for (int v : c.last) {
-      h ^= static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ULL;
-      h *= 1099511628211ULL;
-    }
-    return h;
+    return gpd::hashCut(c.last.data(), c.last.size());
   }
 };

@@ -164,9 +164,9 @@ class Budget {
     return limits_.maxCombinations - tried;
   }
 
-  // Remaining cut headroom; UINT64_MAX when unlimited. The parallel lattice
-  // BFS uses this to cap each frontier to the exact prefix the sequential
-  // scan would have visited before the CutLimit latch.
+  // Remaining cut headroom; UINT64_MAX when unlimited. The lattice BFS uses
+  // this to cap each level to the exact prefix a cut-by-cut scan would have
+  // visited before the CutLimit latch.
   std::uint64_t remainingCuts() const {
     if (limits_.maxCuts == 0) return UINT64_MAX;
     const std::uint64_t visited = cutsVisited_.load(std::memory_order_relaxed);
@@ -176,20 +176,31 @@ class Budget {
 
   // Charge one visited/expanded consistent cut. Returns false (latched)
   // once the budget is exhausted; the failing charge is not counted.
-  bool chargeCut() {
+  bool chargeCut() { return chargeCuts(1); }
+
+  // Charge a block of n cuts with one atomic claim: n chargeCut() calls
+  // make 2n, a fifth of a flat lattice BFS step (A9). All or nothing: when
+  // fewer than n cuts remain under maxCuts it charges none and fails with
+  // CutLimit, so a caller that needs the exact trip point of a cut-by-cut
+  // scan charges only blocks within remainingCuts(). Deadline/cancel are
+  // polled once per kPollPeriod aggregate charges. Charges the caller ends
+  // up not using go back through refundCuts.
+  bool chargeCuts(std::uint64_t n) {
     if (exhausted()) return false;
-    if (limits_.maxCuts != 0) {
-      const std::uint64_t prev =
-          cutsVisited_.fetch_add(1, std::memory_order_relaxed);
-      if (prev >= limits_.maxCuts) {
-        // Over-claimed by a racing charge: give the unit back uncounted.
-        cutsVisited_.fetch_sub(1, std::memory_order_relaxed);
-        return fail(StopReason::CutLimit);
-      }
-    } else {
-      cutsVisited_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t prev =
+        cutsVisited_.fetch_add(n, std::memory_order_relaxed);
+    if (limits_.maxCuts != 0 && prev + n > limits_.maxCuts) {
+      // Over the limit, possibly by a racing charge: give the units back
+      // uncounted.
+      cutsVisited_.fetch_sub(n, std::memory_order_relaxed);
+      return fail(StopReason::CutLimit);
     }
-    return poll();
+    const auto count = static_cast<std::uint32_t>(n);
+    const std::uint32_t polls =
+        pollCounter_.fetch_add(count, std::memory_order_relaxed);
+    constexpr std::uint32_t kPeriodMask = ~(kPollPeriod - 1);
+    if ((polls & kPeriodMask) == ((polls + count) & kPeriodMask)) return true;
+    return pollNow();
   }
 
   // Charge one enumeration combination (a CPDHB invocation, a DNF term, a
@@ -220,6 +231,18 @@ class Budget {
       return true;
     }
     return checkDeadline();
+  }
+
+  // Give back `n` charges that succeeded but that a cut-by-cut sequential
+  // scan would never have made: the unused rest of a block, or positions
+  // that parallel workers charged past the lowest hit. Returning them keeps
+  // progress() — and every headroom query — identical to the sequential
+  // run. An exhaustion that already latched stays latched.
+  void refundCuts(std::uint64_t n) {
+    cutsVisited_.fetch_sub(n, std::memory_order_relaxed);
+  }
+  void refundCombinations(std::uint64_t n) {
+    combinationsTried_.fetch_sub(n, std::memory_order_relaxed);
   }
 
   // Report the current live frontier size of a BFS; tracks the peak and

@@ -168,10 +168,7 @@ StepRun runSliceFirst(const VectorClocks& clocks, const VariableTrace& trace,
     return pred.holdsAtCut(trace, cut);
   };
   const lattice::CutSearchResult search =
-      pool != nullptr ? lattice::findSatisfyingCutParallel(clocks, phi, *pool,
-                                                           budget, &admit)
-                      : lattice::findSatisfyingCutBudgeted(clocks, phi, budget,
-                                                           &admit);
+      lattice::possibly(clocks, phi, {budget, pool, &admit});
   strace.exploredCuts = search.explore.cutsVisited;
   GPD_OBS_COUNTER_ADD("slice_explored_cuts", strace.exploredCuts);
   if (!search.complete) return stoppedRun();
@@ -394,18 +391,12 @@ const analyze::AnalysisReport& Detector::adopt(analyze::AnalysisReport report) {
 
 lattice::CutSearchResult Detector::searchLattice(
     const lattice::CutPredicate& phi, control::Budget* budget) {
-  if (pool_ != nullptr) {
-    return lattice::findSatisfyingCutParallel(clocks_, phi, *pool_, budget);
-  }
-  return lattice::findSatisfyingCutBudgeted(clocks_, phi, budget);
+  return lattice::possibly(clocks_, phi, {budget, pool_});
 }
 
 lattice::DefinitelyDecision Detector::decideLattice(
     const lattice::CutPredicate& phi, control::Budget* budget) {
-  if (pool_ != nullptr) {
-    return lattice::definitelyExhaustiveParallel(clocks_, phi, *pool_, budget);
-  }
-  return lattice::definitelyExhaustiveBudgeted(clocks_, phi, budget);
+  return lattice::definitely(clocks_, phi, {budget, pool_});
 }
 
 std::optional<Cut> Detector::possibly(const ConjunctivePredicate& pred) {

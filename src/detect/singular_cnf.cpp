@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
+#include <vector>
 
 #include "graph/chains.h"
 #include "obs/metrics.h"
@@ -43,10 +45,14 @@ void recordEnumeration(SpanT& span, const SingularCnfResult& result) {
 //    limit = min(total, remainingCombinations): exactly the indices the
 //    sequential odometer would have charged before the CombinationLimit
 //    latch. When limit < total and no witness was found, one extra charge
-//    latches the same StopReason the sequential scan would have.
-// Count-based budgets therefore reproduce sequential verdicts bit-for-bit;
-// deadline/cancel budgets remain timing-dependent, as they already are
-// sequentially.
+//    latches the same StopReason the sequential scan would have;
+//  - on a hit the progress counters report the sequential prefix
+//    (combinationsTried = winning index + 1, comparisons of the chunks at
+//    or below it) and the charges workers made past it go back to the
+//    budget.
+// Count-based budgets therefore reproduce sequential results bit-for-bit,
+// progress included; deadline/cancel budgets remain timing-dependent, as
+// they already are sequentially.
 template <typename SpanT>
 void enumerateSelectionsParallel(
     SpanT& span, const VectorClocks& clocks,
@@ -66,7 +72,8 @@ void enumerateSelectionsParallel(
   std::atomic<bool> stopped{false};
   struct WorkerOut {
     std::uint64_t tried = 0;
-    std::uint64_t comparisons = 0;
+    // (first index, CPDHB comparisons) of every chunk this worker scanned.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> chunkComparisons;
     std::uint64_t foundIndex = UINT64_MAX;
     std::optional<Cut> cut;
     std::vector<EventId> witness;
@@ -95,6 +102,8 @@ void enumerateSelectionsParallel(
         rem /= options[j].size();
       }
       bool abandon = false;
+      std::uint64_t& comparisons =
+          out.chunkComparisons.emplace_back(start, 0).second;
       for (std::uint64_t i = start; i < end; ++i) {
         if (i > bestIndex.load(std::memory_order_relaxed) ||
             stopped.load(std::memory_order_relaxed)) {
@@ -109,7 +118,7 @@ void enumerateSelectionsParallel(
         for (int j = 0; j < m; ++j) chains[j] = options[j][pick[j]];
         ++out.tried;
         ConjunctiveResult sub = findConsistentSelection(clocks, chains);
-        out.comparisons += sub.comparisons;
+        comparisons += sub.comparisons;
         if (sub.found) {
           std::uint64_t cur = bestIndex.load(std::memory_order_relaxed);
           while (i < cur && !bestIndex.compare_exchange_weak(
@@ -135,12 +144,23 @@ void enumerateSelectionsParallel(
     wspan.attrInt("tried", static_cast<std::int64_t>(out.tried));
   });
 
-  for (const WorkerOut& out : outs) {
-    result.combinationsTried += out.tried;
-    result.comparisons += out.comparisons;
-  }
   const std::uint64_t best = bestIndex.load(std::memory_order_relaxed);
+  std::uint64_t tried = 0;
+  for (const WorkerOut& out : outs) {
+    tried += out.tried;
+    // Chunks are disjoint, so every chunk starting at or below the winning
+    // index ends at it or below and was scanned in full (the winner's own
+    // chunk up to the hit) — exactly the sequential scan's comparisons.
+    for (const auto& [start, comparisons] : out.chunkComparisons) {
+      if (start <= best) result.comparisons += comparisons;
+    }
+  }
+  result.combinationsTried = tried;
   if (best != UINT64_MAX) {
+    result.combinationsTried = best + 1;
+    if (budget != nullptr && tried > best + 1) {
+      budget->refundCombinations(tried - (best + 1));
+    }
     for (WorkerOut& out : outs) {
       if (out.foundIndex == best) {
         result.found = true;

@@ -59,11 +59,11 @@ std::vector<std::vector<EventId>> clauseTrueEvents(
 //
 // With a pool, combinations fan out across the workers in deterministic
 // index order: the verdict, witness (lowest satisfying combination index),
-// combinationsTotal, and complete flag are bit-identical to the sequential
-// scan for any thread count — only combinationsTried/comparisons (progress
-// before the first-Yes short-circuit) may differ. A combination budget caps
-// the scanned prefix to exactly the indices the sequential odometer would
-// have charged.
+// combinationsTotal, complete flag, and progress (combinationsTried,
+// comparisons, the budget's count) are bit-identical to the sequential
+// scan for any thread count. A combination budget caps the scanned prefix
+// to exactly the indices the sequential odometer would have charged, and
+// charges made past a Yes are given back.
 SingularCnfResult detectSingularByProcessEnumeration(
     const VectorClocks& clocks, const VariableTrace& trace,
     const CnfPredicate& pred, control::Budget* budget = nullptr,

@@ -13,7 +13,7 @@ StableResult detectStable(const Computation& comp,
 bool isStableOn(const VectorClocks& clocks, const lattice::CutPredicate& phi) {
   const Computation& comp = clocks.computation();
   bool stable = true;
-  lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
+  lattice::explore(clocks, [&](const Cut& cut) {
     if (!phi(cut)) return true;
     for (ProcessId p = 0; p < comp.processCount(); ++p) {
       if (cut.last[p] + 1 >= comp.eventCount(p)) continue;

@@ -152,10 +152,10 @@ ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
                                       control::Budget* budget) {
   GPD_CHECK(pred.relop == Relop::Equal);
   GPD_TRACE_SPAN("detect.sum.exact_search");
-  const lattice::CutSearchResult search = lattice::findSatisfyingCutBudgeted(
+  const lattice::CutSearchResult search = lattice::possibly(
       clocks,
       [&](const Cut& cut) { return pred.sumAtCut(trace, cut) == pred.k; },
-      budget);
+      {budget});
   ExactSumSearch result;
   result.cut = search.witness;
   result.complete = search.complete;
@@ -178,9 +178,9 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   GPD_TRACE_SPAN("detect.sum.definitely");
   SumDecision result;
   if (pred.relop != Relop::Equal) {
-    const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
+    const lattice::DefinitelyDecision d = lattice::definitely(
         clocks,
-        [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); }, budget);
+        [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); }, {budget});
     result.decided = d.decided;
     result.holds = d.decided && d.holds;
     return result;
@@ -197,8 +197,8 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   const auto sumAt = [&](const Cut& cut) { return pred.sumAtCut(trace, cut); };
   bool anyUndecided = false;
   if (deltas.base <= pred.k) {
-    const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
-        clocks, [&](const Cut& c) { return sumAt(c) >= pred.k; }, budget);
+    const lattice::DefinitelyDecision d = lattice::definitely(
+        clocks, [&](const Cut& c) { return sumAt(c) >= pred.k; }, {budget});
     if (d.decided && d.holds) {
       result.holds = true;
       return result;
@@ -206,8 +206,8 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
     anyUndecided |= !d.decided;
   }
   if (deltas.base >= pred.k) {
-    const lattice::DefinitelyDecision d = lattice::definitelyExhaustiveBudgeted(
-        clocks, [&](const Cut& c) { return sumAt(c) <= pred.k; }, budget);
+    const lattice::DefinitelyDecision d = lattice::definitely(
+        clocks, [&](const Cut& c) { return sumAt(c) <= pred.k; }, {budget});
     if (d.decided && d.holds) {
       result.holds = true;
       return result;

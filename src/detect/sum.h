@@ -16,7 +16,7 @@
 //    subset sum.
 //
 // definitely(S relop K) is decided exactly against the lattice
-// (definitelyExhaustive); Theorem 7(2) reduces definitely(S = K) with
+// (lattice::definitely); Theorem 7(2) reduces definitely(S = K) with
 // bounded Δ to the two inequality modalities, which definitelySumEquals
 // implements.
 #pragma once

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -13,57 +14,122 @@ namespace gpd::lattice {
 
 namespace {
 
-// Expands `cut` by every enabled event, appending the successors that pass
-// `admit` (called with the advanced process) and were not seen before to
-// `next`.
-template <typename Admit>
-void expand(const VectorClocks& clocks, const Cut& cut,
-            std::unordered_set<Cut>& seen, std::vector<Cut>& next,
-            const Admit& admit) {
-  const Computation& comp = clocks.computation();
-  for (ProcessId p = 0; p < comp.processCount(); ++p) {
-    if (cut.last[p] + 1 >= comp.eventCount(p)) continue;
-    if (!clocks.enabled(p, cut)) continue;
-    Cut succ = cut;
-    ++succ.last[p];
-    if (!admit(p, succ)) continue;
-    if (seen.insert(succ).second) next.push_back(succ);
+// One BFS level: its cuts as n contiguous ints each, in insertion order.
+// Storage comes in chunks of at most 64 KiB holding a power-of-two number
+// of cuts, so cut i is a shift and a mask away. Keeping every chunk below
+// glibc's mmap threshold matters: freeing multi-MB buffers raises that
+// threshold dynamically, and the heap then grows instead (higher RSS for
+// the rest of the process). clear() keeps the chunks, so a BFS allocates
+// its widest level once.
+class LevelArena {
+ public:
+  explicit LevelArena(int n) : n_(static_cast<std::size_t>(n)) {
+    const std::size_t stride = std::max<std::size_t>(n_, 1);
+    while ((std::size_t{2} << shift_) * stride * sizeof(int) <= kChunkBytes) {
+      ++shift_;
+    }
+    mask_ = (std::size_t{1} << shift_) - 1;
+    chunkInts_ = (std::size_t{1} << shift_) * stride;
   }
-}
 
-constexpr auto kAdmitAll = [](ProcessId, const Cut&) { return true; };
+  std::size_t size() const { return size_; }
 
-// Approximate live bytes of one stored cut (vector header + components).
-std::uint64_t cutBytes(const Computation& comp) {
-  return sizeof(Cut) +
-         static_cast<std::uint64_t>(comp.processCount()) * sizeof(int);
-}
-
-// Records one BFS level's live frontier (current level + next level under
-// construction) in `result` and charges the budget. Returns false when the
-// frontier limit trips.
-bool noteFrontier(ExploreResult& result, std::uint64_t perCut,
-                  std::uint64_t liveCuts, control::Budget* budget) {
-  result.peakFrontierCuts = std::max(result.peakFrontierCuts, liveCuts);
-  const std::uint64_t liveBytes = liveCuts * perCut;
-  result.peakFrontierBytes = std::max(result.peakFrontierBytes, liveBytes);
-  if (budget != nullptr && !budget->noteFrontierBytes(liveBytes)) {
-    result.end = ExploreEnd::BudgetExhausted;
-    return false;
+  const int* operator[](std::size_t i) const {
+    return chunks_[i >> shift_].get() + (i & mask_) * n_;
   }
-  return true;
-}
 
-// Publishes one finished exploration to the metrics registry. Recorded
-// once per run (not per cut) so the BFS hot loop carries no extra code.
-void recordExploration(const char* what, const ExploreResult& result) {
-  (void)what;
-  (void)result;
-  GPD_OBS_COUNTER_ADD("lattice_explorations", 1);
-  GPD_OBS_COUNTER_ADD("cuts_enumerated", result.cutsVisited);
-  GPD_OBS_GAUGE_MAX("frontier_bytes_peak", result.peakFrontierBytes);
-  GPD_OBS_GAUGE_MAX("frontier_cuts_peak", result.peakFrontierCuts);
-}
+  // Appends a copy of the n ints at `v`.
+  void push(const int* v) {
+    const std::size_t chunk = size_ >> shift_;
+    if (chunk == chunks_.size()) chunks_.emplace_back(new int[chunkInts_]);
+    std::copy_n(v, n_, chunks_[chunk].get() + (size_ & mask_) * n_);
+    ++size_;
+  }
+
+  void clear() { size_ = 0; }
+
+ private:
+  static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+  std::size_t n_;
+  int shift_ = 0;
+  std::size_t mask_ = 0;
+  std::size_t chunkInts_ = 0;
+  std::size_t size_ = 0;
+  std::vector<std::unique_ptr<int[]>> chunks_;
+};
+
+// First-occurrence dedup of a level under construction: open addressing
+// (linear probing, load at most 1/2) over the cuts' FNV hash (hashCut, the
+// hash of std::hash<Cut>). A slot holds a 32-bit mix of the hash, which
+// places it and screens most mismatches, and the cut's arena position + 1
+// (0 = empty).
+class LevelIndex {
+ public:
+  // Empties the index and sizes it for about `expected` cuts.
+  void reset(std::size_t expected) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * expected) capacity <<= 1;
+    slots_.assign(capacity, Slot{});
+    count_ = 0;
+  }
+
+  // Appends the n ints at `v` to `arena` unless an equal cut is there.
+  void insert(const int* v, std::size_t n, LevelArena& arena) {
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    const std::size_t h = hashCut(v, n);
+    const auto tag =
+        static_cast<std::uint32_t>((h * 0x9e3779b97f4a7c15ULL) >> 32);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = tag & mask;
+    for (; slots_[s].pos != 0; s = (s + 1) & mask) {
+      if (slots_[s].tag == tag &&
+          std::equal(v, v + n, arena[slots_[s].pos - 1])) {
+        return;
+      }
+    }
+    GPD_CHECK_MSG(arena.size() < UINT32_MAX, "lattice level too wide");
+    arena.push(v);
+    slots_[s] = Slot{tag, static_cast<std::uint32_t>(arena.size())};
+    ++count_;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t pos = 0;
+  };
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.pos == 0) continue;
+      std::size_t s = slot.tag & mask;
+      while (slots_[s].pos != 0) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t count_ = 0;
+};
+
+// One scanner of a level: its first-occurrence successors (in generation
+// order), their index, the scratch cut handed to visit/admit, and how many
+// cuts it charged.
+struct Scanner {
+  explicit Scanner(int n) : next(n), scratch(std::vector<int>(n, 0)) {}
+  LevelArena next;
+  LevelIndex index;
+  Cut scratch;
+  std::uint64_t visited = 0;
+  std::uint64_t charged = 0;
+};
+
+// Cuts are charged to a budget in blocks of this many, one atomic claim
+// each; the charges a stop leaves unused are given back.
+constexpr std::uint64_t kChargeBlock = 64;
 
 const char* toString(ExploreEnd end) {
   switch (end) {
@@ -77,366 +143,253 @@ const char* toString(ExploreEnd end) {
   return "?";
 }
 
-}  // namespace
-
-ExploreResult exploreConsistentCuts(
-    const VectorClocks& clocks, const std::function<bool(const Cut&)>& visit,
-    control::Budget* budget, const CutAdmit* restriction) {
-  const auto admit = [&](ProcessId p, const Cut& succ) {
-    return restriction == nullptr || (*restriction)(p, succ);
-  };
-  GPD_TRACE_SPAN_NAMED(span, "lattice.explore");
+// The one BFS behind explore(), possibly(), definitely() and
+// latticeStats(). `stopAtTop` is definitely()'s goal test: the search ends
+// (VisitorStopped) as soon as the final cut is generated, before it is
+// charged or counted in the frontier.
+ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
+                  const ExploreOptions& options, bool stopAtTop) {
+  control::Budget* const budget = options.budget;
+  par::Pool* const pool = options.pool;
+  const CutAdmit* const admit = options.admit;
+  GPD_TRACE_SPAN_NAMED(
+      span, pool != nullptr ? "lattice.explore_par" : "lattice.explore");
+  const int workers = pool != nullptr ? pool->threads() : 1;
+  if (pool != nullptr) span.attrInt("threads", workers);
   const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
+  const int n = comp.processCount();
+  const auto width = static_cast<std::size_t>(n);
+  int topLevel = 0;
+  for (ProcessId p = 0; p < n; ++p) topLevel += comp.eventCount(p) - 1;
+  // Approximate live bytes of one stored cut (vector header + components):
+  // the frontier charge model of the heap-vector store this arena replaced,
+  // kept so frontier budgets trip at the same points.
+  const std::uint64_t perCut = sizeof(Cut) + width * sizeof(int);
   ExploreResult result;
-  // One exit path annotates and records, whichever way the BFS ends —
-  // including a budget/cancel unwind (the span closes via RAII regardless).
+  // One exit path annotates and publishes (once per run, not per cut),
+  // whichever way the BFS ends — including a budget/cancel unwind (the span
+  // closes via RAII regardless).
   const auto finish = [&]() -> ExploreResult& {
     span.attrInt("cuts", static_cast<std::int64_t>(result.cutsVisited));
     span.attrStr("end", toString(result.end));
-    recordExploration("explore", result);
+    GPD_OBS_COUNTER_ADD("lattice_explorations", 1);
+    GPD_OBS_COUNTER_ADD("cuts_enumerated", result.cutsVisited);
+    GPD_OBS_GAUGE_MAX("frontier_bytes_peak", result.peakFrontierBytes);
+    GPD_OBS_GAUGE_MAX("frontier_cuts_peak", result.peakFrontierCuts);
     return result;
   };
-  std::vector<Cut> level{initialCut(comp)};
-  while (!level.empty()) {
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (const Cut& cut : level) {
-      if (budget != nullptr && !budget->chargeCut()) {
-        result.end = ExploreEnd::BudgetExhausted;
-        return finish();
+
+  LevelArena level(n);
+  LevelArena merged(n);
+  LevelIndex mergeIndex;
+  std::vector<Scanner> scanners;
+  scanners.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) scanners.emplace_back(n);
+  level.push(std::vector<int>(width, 0).data());  // the initial cut
+
+  for (int depth = 0; level.size() > 0; ++depth) {
+    const std::uint64_t size = level.size();
+    ++result.levels;
+    result.widestLevel = std::max(result.widestLevel, size);
+    // Positions past `eligible` are the cuts a sequential scan would never
+    // reach before its CutLimit latch.
+    const std::uint64_t eligible = std::min<std::uint64_t>(
+        size, budget != nullptr ? budget->remainingCuts() : UINT64_MAX);
+    std::atomic<std::uint64_t> stopPos{UINT64_MAX};
+    std::atomic<bool> budgetStop{false};
+    const auto scan = [&](Scanner& wk, std::uint64_t begin, std::uint64_t end) {
+      wk.next.clear();
+      wk.index.reset(2 * (end - begin));
+      Cut& cut = wk.scratch;
+      std::uint64_t paidUntil = begin;
+      for (std::uint64_t pos = begin; pos < end; ++pos) {
+        // A stop at a lower position makes everything above it moot; the
+        // watermark only ever holds genuine stops, so no position below the
+        // eventual lowest one is skipped.
+        if (pos > stopPos.load(std::memory_order_relaxed) ||
+            budgetStop.load(std::memory_order_relaxed)) {
+          return;
+        }
+        if (budget != nullptr && pos == paidUntil) {
+          const std::uint64_t block = std::min(kChargeBlock, end - pos);
+          if (!budget->chargeCuts(block)) {
+            budgetStop.store(true, std::memory_order_relaxed);
+            return;
+          }
+          paidUntil += block;
+          wk.charged += block;
+        }
+        ++wk.visited;
+        std::copy_n(level[pos], width, cut.last.begin());
+        if (!visit(cut)) {
+          std::uint64_t cur = stopPos.load(std::memory_order_relaxed);
+          while (pos < cur && !stopPos.compare_exchange_weak(
+                                  cur, pos, std::memory_order_relaxed)) {
+          }
+          return;
+        }
+        for (ProcessId p = 0; p < n; ++p) {
+          if (cut.last[p] + 1 >= comp.eventCount(p) ||
+              !clocks.enabled(p, cut)) {
+            continue;
+          }
+          ++cut.last[p];
+          if (admit == nullptr || (*admit)(p, cut)) {
+            wk.index.insert(cut.last.data(), width, wk.next);
+          }
+          --cut.last[p];
+        }
       }
-      ++result.cutsVisited;
-      if (!visit(cut)) {
-        result.end = ExploreEnd::VisitorStopped;
-        return finish();
-      }
-      expand(clocks, cut, seen, next, admit);
+    };
+    if (pool == nullptr) {
+      scan(scanners[0], 0, eligible);
+    } else {
+      pool->run([&](int w) {
+        Scanner& wk = scanners[static_cast<std::size_t>(w)];
+        const std::uint64_t begin = eligible * static_cast<std::uint64_t>(w) /
+                                    static_cast<std::uint64_t>(workers);
+        const std::uint64_t end = eligible *
+                                  static_cast<std::uint64_t>(w + 1) /
+                                  static_cast<std::uint64_t>(workers);
+        if (begin == end) {
+          wk.next.clear();
+          return;
+        }
+        GPD_TRACE_SPAN_NAMED(wspan, "par.lattice_worker");
+        wspan.attrInt("worker", w);
+        scan(wk, begin, end);
+      });
     }
-    if (!noteFrontier(result, perCut, level.size() + next.size(), budget)) {
+
+    std::uint64_t visited = 0;
+    std::uint64_t charged = 0;
+    for (Scanner& wk : scanners) {
+      visited += wk.visited;
+      charged += wk.charged;
+      wk.visited = wk.charged = 0;
+    }
+    // The sequential scan counts and charges the cuts up to the lowest
+    // stop; charges made past it, or left unused in a block, go back.
+    const std::uint64_t stop = stopPos.load(std::memory_order_relaxed);
+    const std::uint64_t counted = stop != UINT64_MAX ? stop + 1 : visited;
+    if (charged > counted) budget->refundCuts(charged - counted);
+    result.cutsVisited += counted;
+    if (stop != UINT64_MAX) {
+      result.stoppedAt = Cut(std::vector<int>(level[stop], level[stop] + n));
+      result.end = ExploreEnd::VisitorStopped;
       return finish();
     }
-    level = std::move(next);
+    if (budgetStop.load(std::memory_order_relaxed)) {
+      result.end = ExploreEnd::BudgetExhausted;
+      return finish();
+    }
+    if (eligible < size) {
+      // The sequential scan's next charge would have latched CutLimit;
+      // reproduce that latch so the reported StopReason matches.
+      budget->chargeCut();
+      result.end = ExploreEnd::BudgetExhausted;
+      return finish();
+    }
+    // Ordered merge: slices are contiguous and ascending, so walking the
+    // per-worker successors in worker order follows the sequential
+    // generation order, and first-occurrence dedup yields exactly the
+    // sequential next level. One worker's successors already are it.
+    if (workers == 1) {
+      std::swap(level, scanners[0].next);
+    } else {
+      std::size_t total = 0;
+      for (const Scanner& wk : scanners) total += wk.next.size();
+      merged.clear();
+      mergeIndex.reset(total);
+      for (const Scanner& wk : scanners) {
+        for (std::size_t i = 0; i < wk.next.size(); ++i) {
+          mergeIndex.insert(wk.next[i], width, merged);
+        }
+      }
+      std::swap(level, merged);
+    }
+    if (stopAtTop && depth + 1 == topLevel && level.size() > 0) {
+      result.end = ExploreEnd::VisitorStopped;  // the final cut was reached
+      return finish();
+    }
+    // The live frontier: this level plus the next one, now built.
+    const std::uint64_t liveCuts = size + level.size();
+    result.peakFrontierCuts = std::max(result.peakFrontierCuts, liveCuts);
+    result.peakFrontierBytes =
+        std::max(result.peakFrontierBytes, liveCuts * perCut);
+    if (budget != nullptr && !budget->noteFrontierBytes(liveCuts * perCut)) {
+      result.end = ExploreEnd::BudgetExhausted;
+      return finish();
+    }
   }
   return finish();
 }
 
-std::uint64_t forEachConsistentCut(
-    const VectorClocks& clocks, const std::function<bool(const Cut&)>& visit) {
-  return exploreConsistentCuts(clocks, visit, nullptr).cutsVisited;
+}  // namespace
+
+ExploreResult explore(const VectorClocks& clocks, const CutVisitor& visit,
+                      const ExploreOptions& options) {
+  return bfs(clocks, visit, options, /*stopAtTop=*/false);
 }
 
-CutSearchResult findSatisfyingCutBudgeted(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          control::Budget* budget,
-                                          const CutAdmit* restriction) {
+CutSearchResult possibly(const VectorClocks& clocks, const CutPredicate& phi,
+                         const ExploreOptions& options) {
   CutSearchResult result;
-  result.explore = exploreConsistentCuts(
-      clocks,
-      [&](const Cut& cut) {
-        if (phi(cut)) {
-          result.witness = cut;
-          return false;
-        }
-        return true;
-      },
-      budget, restriction);
+  result.explore = bfs(
+      clocks, [&](const Cut& cut) { return !phi(cut); }, options,
+      /*stopAtTop=*/false);
+  result.witness = result.explore.stoppedAt;
   // Exact iff a witness surfaced or the whole lattice was examined.
   result.complete = result.witness.has_value() ||
                     result.explore.end == ExploreEnd::Exhausted;
   return result;
 }
 
-CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          par::Pool& pool,
-                                          control::Budget* budget,
-                                          const CutAdmit* restriction) {
-  const auto admit = [&](ProcessId p, const Cut& succ) {
-    return restriction == nullptr || (*restriction)(p, succ);
-  };
-  GPD_TRACE_SPAN_NAMED(span, "lattice.explore_par");
-  const int workers = pool.threads();
-  span.attrInt("threads", workers);
+DefinitelyDecision definitely(const VectorClocks& clocks,
+                              const CutPredicate& phi,
+                              const ExploreOptions& options) {
+  GPD_CHECK_MSG(options.admit == nullptr,
+                "definitely() restricts the search to ¬φ cuts itself");
+  DefinitelyDecision decision;
   const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
-  CutSearchResult result;
-  ExploreResult& ex = result.explore;
-  const auto finish = [&]() -> CutSearchResult& {
-    span.attrInt("cuts", static_cast<std::int64_t>(ex.cutsVisited));
-    span.attrStr("end", toString(ex.end));
-    recordExploration("explore", ex);
-    result.complete =
-        result.witness.has_value() || ex.end == ExploreEnd::Exhausted;
-    return result;
-  };
-
-  std::vector<Cut> level{initialCut(comp)};
-  std::vector<std::vector<Cut>> nexts(static_cast<std::size_t>(workers));
-  std::vector<std::uint64_t> visited(static_cast<std::size_t>(workers), 0);
-  while (!level.empty()) {
-    // Cap this frontier to the exact prefix the sequential scan would have
-    // charged before its CutLimit latch: positions past `eligible` are the
-    // cuts the sequential loop never reached.
-    const std::uint64_t eligible = std::min<std::uint64_t>(
-        level.size(),
-        budget != nullptr ? budget->remainingCuts() : UINT64_MAX);
-    std::atomic<std::uint64_t> bestPos{UINT64_MAX};
-    std::atomic<bool> stopped{false};
-    pool.run([&](int w) {
-      const std::uint64_t begin =
-          eligible * static_cast<std::uint64_t>(w) /
-          static_cast<std::uint64_t>(workers);
-      const std::uint64_t endPos =
-          eligible * static_cast<std::uint64_t>(w + 1) /
-          static_cast<std::uint64_t>(workers);
-      if (begin >= endPos) return;
-      GPD_TRACE_SPAN_NAMED(wspan, "par.lattice_worker");
-      wspan.attrInt("worker", w);
-      std::unordered_set<Cut> seen;
-      std::vector<Cut>& next = nexts[static_cast<std::size_t>(w)];
-      for (std::uint64_t pos = begin; pos < endPos; ++pos) {
-        // A satisfying cut at a lower position makes everything above it
-        // moot; the watermark only ever holds genuine witnesses, so no
-        // position below the eventual lowest one is ever skipped.
-        if (pos > bestPos.load(std::memory_order_relaxed) ||
-            stopped.load(std::memory_order_relaxed)) {
-          return;
-        }
-        if (budget != nullptr && !budget->chargeCut()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;
-        }
-        ++visited[static_cast<std::size_t>(w)];
-        const Cut& cut = level[pos];
-        if (phi(cut)) {
-          std::uint64_t cur = bestPos.load(std::memory_order_relaxed);
-          while (pos < cur && !bestPos.compare_exchange_weak(
-                                  cur, pos, std::memory_order_relaxed)) {
-          }
-          return;
-        }
-        expand(clocks, cut, seen, next, admit);
-      }
-    });
-    for (std::uint64_t& count : visited) {
-      ex.cutsVisited += count;
-      count = 0;
-    }
-    const std::uint64_t best = bestPos.load(std::memory_order_relaxed);
-    if (best != UINT64_MAX) {
-      result.witness = level[best];
-      ex.end = ExploreEnd::VisitorStopped;
-      return finish();
-    }
-    if (stopped.load(std::memory_order_relaxed)) {
-      ex.end = ExploreEnd::BudgetExhausted;
-      return finish();
-    }
-    if (eligible < level.size()) {
-      // The sequential scan's next charge would have latched CutLimit;
-      // reproduce that latch so the reported StopReason matches.
-      if (budget != nullptr) budget->chargeCut();
-      ex.end = ExploreEnd::BudgetExhausted;
-      return finish();
-    }
-    // Ordered merge: slices are contiguous and ascending, so concatenating
-    // the per-worker next-frontiers in worker order walks the successors in
-    // the sequential generation order; first-occurrence dedup then yields
-    // exactly the sequential next level.
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (std::vector<Cut>& part : nexts) {
-      for (Cut& cut : part) {
-        if (seen.insert(cut).second) next.push_back(std::move(cut));
-      }
-      part.clear();
-    }
-    if (!noteFrontier(ex, perCut, level.size() + next.size(), budget)) {
-      return finish();
-    }
-    level = std::move(next);
+  const Cut bottom = initialCut(comp);
+  if (phi(bottom)) {  // every run starts at ⊥
+    decision.holds = true;
+    return decision;
   }
-  return finish();
-}
-
-std::optional<Cut> findSatisfyingCut(const VectorClocks& clocks,
-                                     const CutPredicate& phi) {
-  return findSatisfyingCutBudgeted(clocks, phi, nullptr).witness;
-}
-
-bool possiblyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
-  return findSatisfyingCut(clocks, phi).has_value();
-}
-
-DefinitelyDecision definitelyExhaustiveBudgeted(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                control::Budget* budget) {
+  if (bottom == finalCut(comp)) {
+    decision.holds = false;
+    return decision;
+  }
   // A run avoids φ iff it is a monotone path of ¬φ-cuts from ⊥ to ⊤.
-  DefinitelyDecision decision;
-  const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
-  const Cut bottom = initialCut(comp);
-  const Cut top = finalCut(comp);
-  if (phi(bottom)) {  // every run starts at ⊥
-    decision.holds = true;
-    return decision;
-  }
-  if (bottom == top) {
-    decision.holds = false;
-    return decision;
-  }
-  std::vector<Cut> level{bottom};
-  const auto notPhi = [&](ProcessId, const Cut& c) { return !phi(c); };
-  while (!level.empty()) {
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (const Cut& cut : level) {
-      if (budget != nullptr && !budget->chargeCut()) {
-        decision.decided = false;
-        decision.explore.end = ExploreEnd::BudgetExhausted;
-        return decision;
-      }
-      ++decision.explore.cutsVisited;
-      expand(clocks, cut, seen, next, notPhi);
-    }
-    for (const Cut& cut : next) {
-      if (cut == top) {  // an all-¬φ run exists
-        decision.holds = false;
-        decision.explore.end = ExploreEnd::VisitorStopped;
-        return decision;
-      }
-    }
-    if (!noteFrontier(decision.explore, perCut, level.size() + next.size(),
-                      budget)) {
+  const CutAdmit notPhi = [&](ProcessId, const Cut& cut) { return !phi(cut); };
+  ExploreOptions avoiding = options;
+  avoiding.admit = &notPhi;
+  decision.explore = bfs(
+      clocks, [](const Cut&) { return true; }, avoiding, /*stopAtTop=*/true);
+  switch (decision.explore.end) {
+    case ExploreEnd::Exhausted:  // no ¬φ path reaches ⊤
+      decision.holds = true;
+      break;
+    case ExploreEnd::VisitorStopped:  // an all-¬φ run exists
+      decision.holds = false;
+      break;
+    case ExploreEnd::BudgetExhausted:
       decision.decided = false;
-      return decision;
-    }
-    level = std::move(next);
+      break;
   }
-  decision.holds = true;
   return decision;
-}
-
-DefinitelyDecision definitelyExhaustiveParallel(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                par::Pool& pool,
-                                                control::Budget* budget) {
-  GPD_TRACE_SPAN_NAMED(span, "lattice.definitely_par");
-  const int workers = pool.threads();
-  span.attrInt("threads", workers);
-  DefinitelyDecision decision;
-  const Computation& comp = clocks.computation();
-  const std::uint64_t perCut = cutBytes(comp);
-  const Cut bottom = initialCut(comp);
-  const Cut top = finalCut(comp);
-  if (phi(bottom)) {  // every run starts at ⊥
-    decision.holds = true;
-    return decision;
-  }
-  if (bottom == top) {
-    decision.holds = false;
-    return decision;
-  }
-  const auto notPhi = [&](ProcessId, const Cut& c) { return !phi(c); };
-  std::vector<Cut> level{bottom};
-  std::vector<std::vector<Cut>> nexts(static_cast<std::size_t>(workers));
-  std::vector<std::uint64_t> visited(static_cast<std::size_t>(workers), 0);
-  while (!level.empty()) {
-    const std::uint64_t eligible = std::min<std::uint64_t>(
-        level.size(),
-        budget != nullptr ? budget->remainingCuts() : UINT64_MAX);
-    std::atomic<bool> stopped{false};
-    pool.run([&](int w) {
-      const std::uint64_t begin =
-          eligible * static_cast<std::uint64_t>(w) /
-          static_cast<std::uint64_t>(workers);
-      const std::uint64_t endPos =
-          eligible * static_cast<std::uint64_t>(w + 1) /
-          static_cast<std::uint64_t>(workers);
-      if (begin >= endPos) return;
-      GPD_TRACE_SPAN_NAMED(wspan, "par.lattice_worker");
-      wspan.attrInt("worker", w);
-      std::unordered_set<Cut> seen;
-      std::vector<Cut>& next = nexts[static_cast<std::size_t>(w)];
-      for (std::uint64_t pos = begin; pos < endPos; ++pos) {
-        if (stopped.load(std::memory_order_relaxed)) return;
-        if (budget != nullptr && !budget->chargeCut()) {
-          stopped.store(true, std::memory_order_relaxed);
-          return;
-        }
-        ++visited[static_cast<std::size_t>(w)];
-        expand(clocks, level[pos], seen, next, notPhi);
-      }
-    });
-    for (std::uint64_t& count : visited) {
-      decision.explore.cutsVisited += count;
-      count = 0;
-    }
-    if (stopped.load(std::memory_order_relaxed)) {
-      decision.decided = false;
-      decision.explore.end = ExploreEnd::BudgetExhausted;
-      return decision;
-    }
-    if (eligible < level.size()) {
-      if (budget != nullptr) budget->chargeCut();  // latch CutLimit
-      decision.decided = false;
-      decision.explore.end = ExploreEnd::BudgetExhausted;
-      return decision;
-    }
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (std::vector<Cut>& part : nexts) {
-      for (Cut& cut : part) {
-        if (seen.insert(cut).second) next.push_back(std::move(cut));
-      }
-      part.clear();
-    }
-    for (const Cut& cut : next) {
-      if (cut == top) {  // an all-¬φ run exists
-        decision.holds = false;
-        decision.explore.end = ExploreEnd::VisitorStopped;
-        return decision;
-      }
-    }
-    if (!noteFrontier(decision.explore, perCut, level.size() + next.size(),
-                      budget)) {
-      decision.decided = false;
-      return decision;
-    }
-    level = std::move(next);
-  }
-  decision.holds = true;
-  return decision;
-}
-
-bool definitelyExhaustive(const VectorClocks& clocks, const CutPredicate& phi) {
-  const DefinitelyDecision decision =
-      definitelyExhaustiveBudgeted(clocks, phi, nullptr);
-  GPD_CHECK(decision.decided);
-  return decision.holds;
 }
 
 LatticeStats latticeStats(const VectorClocks& clocks,
-                          control::Budget* budget) {
+                          const ExploreOptions& options) {
+  const ExploreResult r =
+      explore(clocks, [](const Cut&) { return true; }, options);
   LatticeStats stats;
-  const Computation& comp = clocks.computation();
-  std::vector<Cut> level{initialCut(comp)};
-  while (!level.empty()) {
-    stats.cutCount += level.size();
-    stats.maxWidth = std::max<std::uint64_t>(stats.maxWidth, level.size());
-    ++stats.levels;
-    std::unordered_set<Cut> seen;
-    std::vector<Cut> next;
-    for (const Cut& cut : level) {
-      if (budget != nullptr && !budget->chargeCut()) {
-        stats.complete = false;
-        return stats;
-      }
-      expand(clocks, cut, seen, next, kAdmitAll);
-    }
-    level = std::move(next);
-  }
+  stats.cutCount = r.cutsVisited;
+  stats.levels = r.levels;
+  stats.maxWidth = r.widestLevel;
+  stats.complete = r.end == ExploreEnd::Exhausted;
   return stats;
 }
 

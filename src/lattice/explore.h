@@ -7,11 +7,14 @@
 // avoid it — but exact, so it is the ground truth every efficient detector
 // is validated against, and the comparison baseline in the benches.
 //
-// Every entry point has a budgeted form (control/budget.h): the BFS loop
-// charges one cut per visit/expansion and reports its live frontier bytes
-// per level, so a wall-clock deadline, a cut cap, or a frontier-memory cap
-// turns an exponential blowup into an explicit incomplete result instead of
-// a hang or an OOM.
+// One BFS serves every caller: explore() takes a visitor plus
+// ExploreOptions{budget, pool, admit}, and possibly() / definitely() /
+// latticeStats() are thin wrappers over it. A budget (control/budget.h) is
+// charged one cut per visit and sees the live frontier bytes per level, so
+// a wall-clock deadline, a cut cap, or a frontier-memory cap turns an
+// exponential blowup into an explicit incomplete result instead of a hang
+// or an OOM. A pool makes the same BFS level-synchronous parallel with a
+// bit-identical result (see ExploreOptions::pool).
 #pragma once
 
 #include <cstdint>
@@ -31,14 +34,16 @@ namespace gpd::lattice {
 // predicates/eval.h.
 using CutPredicate = std::function<bool(const Cut&)>;
 
+// Called once per visited cut; returning false stops the exploration.
+using CutVisitor = std::function<bool(const Cut&)>;
+
 // Restriction of the BFS to a sublattice (the slice-first pre-pass): called
 // with the advanced process and the successor cut; returning false prunes
 // that successor from the frontier. Soundness is the caller's business — the
 // BFS then only covers the cuts reachable through admitted successors (for a
 // slice restriction: every cut whose events are all included and that lies
 // below the slice top, which contains every satisfying cut of any predicate
-// implying the sliced one). Must be safe to call concurrently in the
-// parallel forms.
+// implying the sliced one).
 using CutAdmit = std::function<bool(ProcessId, const Cut&)>;
 
 // How an exploration ended. Callers that stop the visit early (searches)
@@ -50,92 +55,80 @@ enum class ExploreEnd {
   BudgetExhausted,  // the budget tripped; the lattice was NOT covered
 };
 
+struct ExploreOptions {
+  // Charged one cut per visit; its frontier limit sees every level.
+  control::Budget* budget = nullptr;
+  // Level-synchronous parallel BFS: the workers scan disjoint contiguous
+  // slices of each level and their successors merge back in slice order,
+  // reproducing the sequential level order exactly. A stop is taken at the
+  // lowest level position whose visit returned false, cutsVisited counts
+  // the sequential prefix up to it, and cut charges made past it are given
+  // back to the budget; a cut budget caps each level to the prefix the
+  // sequential scan would have charged before its CutLimit latch. The
+  // result (including cutsVisited and the budget's progress) is therefore
+  // bit-identical to the sequential BFS for any thread count under count
+  // and frontier budgets. visit and admit run concurrently and must be
+  // thread-safe (the library's variable-based predicates are: evaluation
+  // is pure const reads of the trace).
+  par::Pool* pool = nullptr;
+  // Optional sublattice restriction (see CutAdmit). The restricted BFS
+  // visits, level by level, exactly the full BFS's visit order filtered to
+  // the admitted region (the admitted sublattice's generator sets coincide,
+  // so the relative order of common cuts is preserved).
+  const CutAdmit* admit = nullptr;
+};
+
 struct ExploreResult {
   std::uint64_t cutsVisited = 0;
   ExploreEnd end = ExploreEnd::Exhausted;
+  // The cut whose visit returned false (VisitorStopped only).
+  std::optional<Cut> stoppedAt;
   // Widest BFS frontier observed (cuts of one level plus the next level
   // under construction) — the measured signal behind memory budgets.
   std::uint64_t peakFrontierCuts = 0;
   std::uint64_t peakFrontierBytes = 0;
+  // Levels entered, and the most cuts any of them held.
+  int levels = 0;
+  std::uint64_t widestLevel = 0;
 };
 
-// Visits every consistent cut exactly once in level order (level = number of
-// non-initial events). Stops early when `visit` returns false
-// (VisitorStopped) or when the budget trips (BudgetExhausted); the result
-// separates the two from genuine exhaustion.
-// `restrict` (optional) prunes successors from the frontier; the restricted
-// BFS visits, level by level, exactly the full BFS's visit order filtered to
-// the admitted region (the admitted sublattice's generator sets coincide,
-// so the relative order of common cuts is preserved).
-ExploreResult exploreConsistentCuts(const VectorClocks& clocks,
-                                    const std::function<bool(const Cut&)>& visit,
-                                    control::Budget* budget = nullptr,
-                                    const CutAdmit* restriction = nullptr);
-
-// Back-compat wrapper: the visit count of an unbudgeted exploration.
-std::uint64_t forEachConsistentCut(const VectorClocks& clocks,
-                                   const std::function<bool(const Cut&)>& visit);
+// Visits every consistent cut exactly once in level order (level = number
+// of non-initial events; within a level, in first-generation order). Stops
+// early when `visit` returns false (VisitorStopped) or when the budget
+// trips (BudgetExhausted); the result separates the two from genuine
+// exhaustion.
+ExploreResult explore(const VectorClocks& clocks, const CutVisitor& visit,
+                      const ExploreOptions& options = {});
 
 // Three-valued possibly(φ) search: `complete` is true when the answer is
 // exact (a witness was found, or the whole lattice was searched); false
 // means the budget stopped the search first — no witness is *not* a "no".
+// The witness is the first satisfying cut in BFS order.
 struct CutSearchResult {
   std::optional<Cut> witness;
   bool complete = true;
   ExploreResult explore;
 };
 
-CutSearchResult findSatisfyingCutBudgeted(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          control::Budget* budget = nullptr,
-                                          const CutAdmit* restriction = nullptr);
+CutSearchResult possibly(const VectorClocks& clocks, const CutPredicate& phi,
+                         const ExploreOptions& options = {});
 
-// Level-synchronous parallel form of findSatisfyingCutBudgeted: pool
-// workers scan disjoint contiguous slices of each antichain frontier and
-// their per-worker next-frontiers merge back in slice order, reproducing
-// the sequential BFS frontier order exactly. The witness is the frontier's
-// lowest-position satisfying cut (not the first finisher's), so the
-// verdict, witness, and complete flag are bit-identical to the sequential
-// search for any thread count under count/frontier budgets; cutsVisited
-// may differ once the short-circuit races the scan. A cut budget caps each
-// frontier to the exact prefix the sequential scan would have charged
-// before its CutLimit latch. phi must be safe to call concurrently (the
-// library's variable-based predicates are: evaluation is pure const
-// reads of the trace).
-CutSearchResult findSatisfyingCutParallel(const VectorClocks& clocks,
-                                          const CutPredicate& phi,
-                                          par::Pool& pool,
-                                          control::Budget* budget = nullptr,
-                                          const CutAdmit* restriction = nullptr);
-
-// possibly(φ): some consistent cut satisfies φ. Returns a witness cut.
-std::optional<Cut> findSatisfyingCut(const VectorClocks& clocks,
-                                     const CutPredicate& phi);
-
-bool possiblyExhaustive(const VectorClocks& clocks, const CutPredicate& phi);
-
-// Three-valued definitely(φ): `decided` is false when the budget stopped
-// the ¬φ-path search before it could prove either direction.
+// Three-valued definitely(φ): every run passes through a cut satisfying φ.
+// Equivalent to: no monotone path of ¬φ-cuts from the initial to the final
+// cut, so the BFS admits only ¬φ successors and stops (holds = false) as
+// soon as the final cut is generated. `decided` is false when the budget
+// stopped the search before it could prove either direction. φ(⊥) is
+// checked before any charge. options.admit must be null: the search
+// defines its own restriction.
 struct DefinitelyDecision {
   bool decided = true;
   bool holds = false;
   ExploreResult explore;
 };
 
-DefinitelyDecision definitelyExhaustiveBudgeted(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                control::Budget* budget = nullptr);
-
-// Parallel form of definitelyExhaustiveBudgeted with the same slice-order
-// partitioning and determinism contract as findSatisfyingCutParallel.
-DefinitelyDecision definitelyExhaustiveParallel(const VectorClocks& clocks,
-                                                const CutPredicate& phi,
-                                                par::Pool& pool,
-                                                control::Budget* budget = nullptr);
-
-// definitely(φ): every run passes through a cut satisfying φ. Equivalent to:
-// no monotone path of ¬φ-cuts from the initial to the final cut.
-bool definitelyExhaustive(const VectorClocks& clocks, const CutPredicate& phi);
+DefinitelyDecision definitely(const VectorClocks& clocks,
+                              const CutPredicate& phi,
+                              const ExploreOptions& options = {});
 
 struct LatticeStats {
   std::uint64_t cutCount = 0;   // number of consistent cuts counted so far
@@ -149,6 +142,6 @@ struct LatticeStats {
 // a Budget: each counted cut is charged as one cut, and when the budget
 // trips the partial stats come back with complete == false.
 LatticeStats latticeStats(const VectorClocks& clocks,
-                          control::Budget* budget = nullptr);
+                          const ExploreOptions& options = {});
 
 }  // namespace gpd::lattice

@@ -14,9 +14,10 @@
 // Determinism contract (library-wide): for any thread count, a parallel
 // kernel returns bit-identical verdicts and witnesses to its sequential
 // form — Yes selects the lowest combination/frontier index, never the
-// first finisher, and combination-count budgets cap the scanned index
-// prefix exactly like the sequential odometer. Only the progress counters
-// (combinations tried before the short-circuit, cuts visited) may differ.
+// first finisher, and count budgets cap the scanned index prefix exactly
+// like the sequential scan. Progress counters report the sequential prefix
+// too: work a worker did past the winning index is not counted, and its
+// budget charges are given back.
 //
 // Exceptions thrown by a worker are captured and rethrown from run() on
 // the calling thread (first one wins; the others are dropped after every

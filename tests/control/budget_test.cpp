@@ -37,6 +37,32 @@ TEST(BudgetTest, CutLimitTripsWithoutCountingTheFailingCharge) {
   EXPECT_EQ(b.progress().cutsVisited, 5u);
 }
 
+TEST(BudgetTest, BlockCutChargesAreAllOrNothingAndRefundable) {
+  BudgetLimits limits;
+  limits.maxCuts = 100;
+  Budget b(limits);
+  EXPECT_TRUE(b.chargeCuts(64));
+  EXPECT_EQ(b.remainingCuts(), 36u);
+  // Unused charges go back and count as headroom again.
+  b.refundCuts(4);
+  EXPECT_EQ(b.progress().cutsVisited, 60u);
+  EXPECT_TRUE(b.chargeCuts(40));
+  // A block that does not fit charges nothing and latches CutLimit.
+  EXPECT_FALSE(b.chargeCuts(1));
+  EXPECT_EQ(b.reason(), StopReason::CutLimit);
+  EXPECT_EQ(b.progress().cutsVisited, 100u);
+}
+
+TEST(BudgetTest, BlockCutChargesPollTheDeadline) {
+  BudgetLimits limits;
+  limits.deadlineMillis = 1;
+  Budget b(limits);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // A block crossing a poll period reads the clock and sees the deadline.
+  EXPECT_FALSE(b.chargeCuts(64));
+  EXPECT_EQ(b.reason(), StopReason::Deadline);
+}
+
 TEST(BudgetTest, CombinationLimitTripsAndTracksRemaining) {
   BudgetLimits limits;
   limits.maxCombinations = 3;

@@ -31,8 +31,9 @@ inline CnfPredicate randomSingularKCnf(int groups, int groupSize,
 inline bool latticePossiblyCnf(const VectorClocks& clocks,
                                const VariableTrace& trace,
                                const CnfPredicate& pred) {
-  return lattice::possiblyExhaustive(
-      clocks, [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); });
+  return lattice::possibly(clocks, [&](const Cut& cut) {
+           return pred.holdsAtCut(trace, cut);
+         }).witness.has_value();
 }
 
 }  // namespace gpd::detect::testing

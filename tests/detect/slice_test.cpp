@@ -44,7 +44,7 @@ TEST(SliceTest, ConjunctivePredicatesAreRegular) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const RegularInstance inst = makeInstance(seed, 0.5);
     std::vector<Cut> satisfying;
-    lattice::forEachConsistentCut(inst.clocks, [&](const Cut& cut) {
+    lattice::explore(inst.clocks, [&](const Cut& cut) {
       if (inst.satisfied(cut)) satisfying.push_back(cut);
       return true;
     });
@@ -66,7 +66,7 @@ TEST(SliceTest, LeastCutsAreLeastSatisfyingCutsContainingTheEvent) {
       const EventId e = inst.comp.event(node);
       // Brute-force least satisfying cut containing e.
       std::optional<Cut> best;
-      lattice::forEachConsistentCut(inst.clocks, [&](const Cut& cut) {
+      lattice::explore(inst.clocks, [&](const Cut& cut) {
         if (cut.contains(e) && inst.satisfied(cut)) {
           if (!best) best = cut;  // level order: first hit is least by level
           // Least by inclusion requires a subset check among hits:
@@ -82,7 +82,7 @@ TEST(SliceTest, LeastCutsAreLeastSatisfyingCutsContainingTheEvent) {
         const Cut& j = *slice.leastCut[node];
         EXPECT_TRUE(inst.satisfied(j));
         EXPECT_TRUE(j.contains(e));
-        lattice::forEachConsistentCut(inst.clocks, [&](const Cut& cut) {
+        lattice::explore(inst.clocks, [&](const Cut& cut) {
           if (cut.contains(e) && inst.satisfied(cut)) {
             EXPECT_TRUE(j.subsetOf(cut));
           }
@@ -100,7 +100,7 @@ TEST(SliceTest, SliceMembershipEqualsPredicate) {
     const RegularInstance inst = makeInstance(seed, 0.45);
     const Slice slice =
         computeSlice(inst.clocks, conjunctiveOracle(inst.trace, inst.pred));
-    lattice::forEachConsistentCut(inst.clocks, [&](const Cut& cut) {
+    lattice::explore(inst.clocks, [&](const Cut& cut) {
       EXPECT_EQ(sliceSatisfies(slice, inst.clocks, cut), inst.satisfied(cut))
           << "seed " << seed << " cut " << cut.toString();
       return true;
@@ -114,7 +114,7 @@ TEST(SliceTest, CountMatchesLattice) {
     const Slice slice =
         computeSlice(inst.clocks, conjunctiveOracle(inst.trace, inst.pred));
     std::uint64_t expected = 0;
-    lattice::forEachConsistentCut(inst.clocks, [&](const Cut& cut) {
+    lattice::explore(inst.clocks, [&](const Cut& cut) {
       expected += inst.satisfied(cut);
       return true;
     });
@@ -133,7 +133,7 @@ TEST(SliceTest, BottomAndTopBracketTheSublattice) {
     if (!slice.satisfiable) continue;
     EXPECT_TRUE(inst.satisfied(slice.bottom));
     EXPECT_TRUE(inst.satisfied(slice.top));
-    lattice::forEachConsistentCut(inst.clocks, [&](const Cut& cut) {
+    lattice::explore(inst.clocks, [&](const Cut& cut) {
       if (inst.satisfied(cut)) {
         EXPECT_TRUE(slice.bottom.subsetOf(cut));
         EXPECT_TRUE(cut.subsetOf(slice.top));
@@ -258,7 +258,7 @@ TEST(SliceTest, EmptyChannelsSliceMembership) {
     const auto oracle = channelsEmptyOracle(comp);
     const Slice slice = computeSlice(clocks, oracle);
     ASSERT_TRUE(slice.satisfiable);  // the initial cut always qualifies
-    lattice::forEachConsistentCut(clocks, [&](const Cut& cut) {
+    lattice::explore(clocks, [&](const Cut& cut) {
       EXPECT_EQ(sliceSatisfies(slice, clocks, cut), !oracle(cut).has_value())
           << "trial " << trial << " cut " << cut.toString();
       return true;

@@ -39,8 +39,8 @@ TEST(StableTest, MonotoneCounterThresholdIsStable) {
     // Stable detection: evaluate at the final cut only; must agree with the
     // exhaustive possibly.
     const StableResult res = detectStable(c, phi);
-    EXPECT_EQ(res.possibly, lattice::possiblyExhaustive(vc, phi));
-    EXPECT_EQ(res.definitely, lattice::definitelyExhaustive(vc, phi));
+    EXPECT_EQ(res.possibly, lattice::possibly(vc, phi).witness.has_value());
+    EXPECT_EQ(res.definitely, lattice::definitely(vc, phi).holds);
   }
 }
 

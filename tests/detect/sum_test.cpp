@@ -24,7 +24,7 @@ std::pair<std::int64_t, std::int64_t> bruteExtrema(
   std::int64_t lo = 0;
   std::int64_t hi = 0;
   bool first = true;
-  lattice::forEachConsistentCut(vc, [&](const Cut& cut) {
+  lattice::explore(vc, [&](const Cut& cut) {
     std::int64_t s = 0;
     for (const SumTerm& t : terms) s += trace.valueAtCut(cut, t.process, t.var);
     if (first) {
@@ -108,9 +108,9 @@ TEST(PossiblySumTest, InequalityRelopsMatchLattice) {
     pred.relop = relops[rng.index(5)];
     pred.k = rng.uniform(-4, 4);
     const auto witness = possiblySum(vc, trace, pred);
-    const bool expected = lattice::possiblyExhaustive(vc, [&](const Cut& cut) {
+    const bool expected = lattice::possibly(vc, [&](const Cut& cut) {
       return pred.holdsAtCut(trace, cut);
-    });
+    }).witness.has_value();
     ASSERT_EQ(witness.has_value(), expected)
         << "trial " << trial << " pred " << pred.toString();
     if (witness) {
@@ -198,9 +198,9 @@ TEST(DefinitelySumTest, Theorem7ReductionMatchesDirectDefinitely) {
     pred.relop = Relop::Equal;
     pred.k = rng.uniform(-2, 2);
     const bool viaTheorem = definitelySum(vc, trace, pred);
-    const bool direct = lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+    const bool direct = lattice::definitely(vc, [&](const Cut& cut) {
       return pred.sumAtCut(trace, cut) == pred.k;
-    });
+    }).holds;
     ASSERT_EQ(viaTheorem, direct) << "trial " << trial << " K=" << pred.k;
     holds += viaTheorem;
   }
@@ -223,9 +223,9 @@ TEST(DefinitelySumTest, InequalityModalities) {
     pred.relop = trial % 2 ? Relop::GreaterEq : Relop::LessEq;
     pred.k = rng.uniform(-3, 3);
     const bool got = definitelySum(vc, trace, pred);
-    const bool expected = lattice::definitelyExhaustive(vc, [&](const Cut& cut) {
+    const bool expected = lattice::definitely(vc, [&](const Cut& cut) {
       return pred.holdsAtCut(trace, cut);
-    });
+    }).holds;
     EXPECT_EQ(got, expected) << "trial " << trial;
   }
 }

@@ -15,19 +15,23 @@
 // differently from engine bugs (2).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include <sys/wait.h>
 
+#include "../temp_path.h"
 #include "service/frame.h"
 
 namespace gpd {
 namespace {
 
-std::string tracePath() {
-  return ::testing::TempDir() + "gpd_cli_exit_test.trace";
+// The suite's shared trace, generated once per test process.
+std::string& tracePath() {
+  static std::string path;
+  return path;
 }
 
 // Runs gpdtool with `args`, output silenced, and returns its exit code.
@@ -45,8 +49,10 @@ class CliExitTest : public ::testing::Test {
   // One shared trace for the suite: the `random` workload defines a boolean
   // "b" and a counter "x" on 5 processes (deterministic under the seed).
   static void SetUpTestSuite() {
+    tracePath() = testTempPath("random.trace");
     ASSERT_EQ(runTool("generate random " + tracePath() + " 7"), 0);
   }
+  static void TearDownTestSuite() { std::remove(tracePath().c_str()); }
 };
 
 TEST_F(CliExitTest, DecidedDetectExitsZero) {
@@ -102,7 +108,7 @@ int runServer(const std::string& args, const std::string& stdinPath = "") {
 }
 
 std::string writeTempFile(const std::string& name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = testTempPath(name);
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   os.close();
@@ -120,6 +126,7 @@ TEST(GpddExitTest, CleanFramedSessionExitsZero) {
   EXPECT_EQ(runServer("", in), 0);
   // EOF without SHUTDOWN drains too.
   EXPECT_EQ(runServer(""), 0);
+  std::remove(in.c_str());
 }
 
 TEST(GpddExitTest, BadFlagsExitOne) {
@@ -140,6 +147,7 @@ TEST(GpddExitTest, CorruptRecoveryManifestExitsOne) {
   EXPECT_EQ(runServer("--checkpoint " + bad + " --recover"), 1);
   EXPECT_EQ(runServer("--checkpoint /nonexistent/gpdd.manifest --recover"),
             1);
+  std::remove(bad.c_str());
 }
 
 TEST(GpddExitTest, StrictProtoViolationExitsOne) {
@@ -148,6 +156,7 @@ TEST(GpddExitTest, StrictProtoViolationExitsOne) {
   EXPECT_EQ(runServer("--strict-proto", garbage), 1);
   // The same bytes without --strict-proto are resynced over: exit 0.
   EXPECT_EQ(runServer("", garbage), 0);
+  std::remove(garbage.c_str());
 }
 
 // In-protocol errors (bad commands inside intact frames) are answered with
@@ -159,6 +168,7 @@ TEST(GpddExitTest, ProtocolErrorsAreNotFatal) {
   wire += service::encodeFrame("SHUTDOWN");
   const std::string in = writeTempFile("gpdd_exit_err.bin", wire);
   EXPECT_EQ(runServer("", in), 0);
+  std::remove(in.c_str());
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ namespace {
 
 std::vector<Cut> allConsistentCuts(const VectorClocks& vc) {
   std::vector<Cut> cuts;
-  forEachConsistentCut(vc, [&](const Cut& c) {
+  explore(vc, [&](const Cut& c) {
     cuts.push_back(c);
     return true;
   });
@@ -52,7 +52,7 @@ TEST(LatticeAlgebraTest, BottomAndTopAreExtremal) {
   const Cut top = finalCut(c);
   EXPECT_TRUE(vc.isConsistent(bottom));
   EXPECT_TRUE(vc.isConsistent(top));
-  forEachConsistentCut(vc, [&](const Cut& cut) {
+  explore(vc, [&](const Cut& cut) {
     EXPECT_TRUE(bottom.subsetOf(cut));
     EXPECT_TRUE(cut.subsetOf(top));
     return true;

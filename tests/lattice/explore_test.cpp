@@ -21,7 +21,7 @@ TEST(LatticeTest, IndependentProcessesFormGrid) {
   const Computation c = independent(2, 3);
   const VectorClocks vc(c);
   std::uint64_t count = 0;
-  forEachConsistentCut(vc, [&](const Cut&) {
+  explore(vc, [&](const Cut&) {
     ++count;
     return true;
   });
@@ -48,7 +48,7 @@ TEST(LatticeTest, VisitsEachCutOnceInLevelOrder) {
   const VectorClocks vc(c);
   std::set<std::vector<int>> seen;
   int lastLevel = -1;
-  forEachConsistentCut(vc, [&](const Cut& cut) {
+  explore(vc, [&](const Cut& cut) {
     EXPECT_TRUE(vc.isConsistent(cut));
     EXPECT_TRUE(seen.insert(cut.last).second) << "duplicate " << cut.toString();
     EXPECT_GE(cut.level(), lastLevel);
@@ -101,14 +101,14 @@ TEST(LatticeTest, StatsStopEarlyWhenTheBudgetTrips) {
   control::BudgetLimits tight;
   tight.maxCuts = 4;
   control::Budget budget(tight);
-  const LatticeStats stats = latticeStats(vc, &budget);
+  const LatticeStats stats = latticeStats(vc, {&budget});
   EXPECT_FALSE(stats.complete);
   EXPECT_LT(stats.cutCount, full);
   // A roomy budget changes nothing.
   control::BudgetLimits wide;
   wide.maxCuts = full * 2;
   control::Budget roomy(wide);
-  const LatticeStats again = latticeStats(vc, &roomy);
+  const LatticeStats again = latticeStats(vc, {&roomy});
   EXPECT_TRUE(again.complete);
   EXPECT_EQ(again.cutCount, full);
 }
@@ -116,24 +116,26 @@ TEST(LatticeTest, StatsStopEarlyWhenTheBudgetTrips) {
 TEST(LatticeTest, PossiblyFindsWitness) {
   const Computation c = independent(2, 2);
   const VectorClocks vc(c);
-  const auto cut = findSatisfyingCut(
-      vc, [](const Cut& cut) { return cut.last[0] == 1 && cut.last[1] == 2; });
+  const auto cut =
+      possibly(vc, [](const Cut& cut) {
+        return cut.last[0] == 1 && cut.last[1] == 2;
+      }).witness;
   ASSERT_TRUE(cut.has_value());
   EXPECT_EQ(cut->last, (std::vector<int>{1, 2}));
-  EXPECT_FALSE(
-      possiblyExhaustive(vc, [](const Cut& cut) { return cut.last[0] > 5; }));
+  EXPECT_FALSE(possibly(vc, [](const Cut& cut) { return cut.last[0] > 5; })
+                   .witness.has_value());
 }
 
 TEST(LatticeTest, DefinitelyAtInitialOrFinal) {
   const Computation c = independent(2, 2);
   const VectorClocks vc(c);
-  EXPECT_TRUE(definitelyExhaustive(
-      vc, [](const Cut& cut) { return cut.level() == 0; }));
-  EXPECT_TRUE(definitelyExhaustive(
-      vc, [](const Cut& cut) { return cut.level() == 4; }));
+  EXPECT_TRUE(definitely(
+      vc, [](const Cut& cut) { return cut.level() == 0; }).holds);
+  EXPECT_TRUE(definitely(
+      vc, [](const Cut& cut) { return cut.level() == 4; }).holds);
   // Every run passes through exactly one level-2 cut.
-  EXPECT_TRUE(definitelyExhaustive(
-      vc, [](const Cut& cut) { return cut.level() == 2; }));
+  EXPECT_TRUE(definitely(
+      vc, [](const Cut& cut) { return cut.level() == 2; }).holds);
 }
 
 TEST(LatticeTest, PossiblyButNotDefinitely) {
@@ -143,8 +145,8 @@ TEST(LatticeTest, PossiblyButNotDefinitely) {
   const auto phi = [](const Cut& cut) {
     return cut.last[0] == 1 && cut.last[1] == 0;
   };
-  EXPECT_TRUE(possiblyExhaustive(vc, phi));
-  EXPECT_FALSE(definitelyExhaustive(vc, phi));
+  EXPECT_TRUE(possibly(vc, phi).witness.has_value());
+  EXPECT_FALSE(definitely(vc, phi).holds);
 }
 
 // Ground truth via run enumeration: possibly(φ) iff some linear extension
@@ -187,8 +189,9 @@ TEST(LatticeTest, ModalitiesMatchRunEnumeration) {
           return true;
         });
 
-    EXPECT_EQ(possiblyExhaustive(vc, phi), anyRunHits) << "trial " << trial;
-    EXPECT_EQ(definitelyExhaustive(vc, phi), allRunsHit) << "trial " << trial;
+    EXPECT_EQ(possibly(vc, phi).witness.has_value(), anyRunHits)
+        << "trial " << trial;
+    EXPECT_EQ(definitely(vc, phi).holds, allRunsHit) << "trial " << trial;
   }
 }
 
@@ -196,9 +199,9 @@ TEST(LatticeTest, EarlyStopCountsVisited) {
   const Computation c = independent(2, 3);
   const VectorClocks vc(c);
   int calls = 0;
-  const auto visited = forEachConsistentCut(vc, [&](const Cut&) {
+  const auto visited = explore(vc, [&](const Cut&) {
     return ++calls < 4;
-  });
+  }).cutsVisited;
   EXPECT_EQ(visited, 4u);
 }
 
@@ -207,7 +210,7 @@ TEST(LatticeBudgetTest, ExploreEndDistinguishesThreeStopKinds) {
   const VectorClocks vc(c);
 
   const ExploreResult full =
-      exploreConsistentCuts(vc, [](const Cut&) { return true; });
+      explore(vc, [](const Cut&) { return true; });
   EXPECT_EQ(full.end, ExploreEnd::Exhausted);
   EXPECT_EQ(full.cutsVisited, 16u);
   EXPECT_GT(full.peakFrontierCuts, 0u);
@@ -215,7 +218,7 @@ TEST(LatticeBudgetTest, ExploreEndDistinguishesThreeStopKinds) {
 
   int calls = 0;
   const ExploreResult stopped =
-      exploreConsistentCuts(vc, [&](const Cut&) { return ++calls < 4; });
+      explore(vc, [&](const Cut&) { return ++calls < 4; });
   EXPECT_EQ(stopped.end, ExploreEnd::VisitorStopped);
   EXPECT_EQ(stopped.cutsVisited, 4u);
 
@@ -223,7 +226,7 @@ TEST(LatticeBudgetTest, ExploreEndDistinguishesThreeStopKinds) {
   limits.maxCuts = 5;
   control::Budget budget(limits);
   const ExploreResult cut =
-      exploreConsistentCuts(vc, [](const Cut&) { return true; }, &budget);
+      explore(vc, [](const Cut&) { return true; }, {&budget});
   EXPECT_EQ(cut.end, ExploreEnd::BudgetExhausted);
   EXPECT_EQ(cut.cutsVisited, 5u);  // exactly the budget, never more
   EXPECT_EQ(budget.reason(), control::StopReason::CutLimit);
@@ -239,10 +242,10 @@ TEST(LatticeBudgetTest, UnlimitedBudgetMatchesUnbudgetedCount) {
   const VectorClocks vc(c);
   control::Budget unlimited;
   const ExploreResult budgeted =
-      exploreConsistentCuts(vc, [](const Cut&) { return true; }, &unlimited);
+      explore(vc, [](const Cut&) { return true; }, {&unlimited});
   EXPECT_EQ(budgeted.end, ExploreEnd::Exhausted);
   EXPECT_EQ(budgeted.cutsVisited,
-            forEachConsistentCut(vc, [](const Cut&) { return true; }));
+            explore(vc, [](const Cut&) { return true; }).cutsVisited);
 }
 
 TEST(LatticeBudgetTest, FrontierLimitStopsTheGrid) {
@@ -254,7 +257,7 @@ TEST(LatticeBudgetTest, FrontierLimitStopsTheGrid) {
   limits.maxFrontierBytes = 1;
   control::Budget budget(limits);
   const ExploreResult r =
-      exploreConsistentCuts(vc, [](const Cut&) { return true; }, &budget);
+      explore(vc, [](const Cut&) { return true; }, {&budget});
   EXPECT_EQ(r.end, ExploreEnd::BudgetExhausted);
   EXPECT_EQ(budget.reason(), control::StopReason::FrontierLimit);
   EXPECT_LT(r.cutsVisited, 625u);  // nowhere near the 5^4 total
@@ -269,22 +272,22 @@ TEST(LatticeBudgetTest, SearchCompleteSemantics) {
   control::BudgetLimits one;
   one.maxCuts = 1;
   control::Budget witnessBudget(one);
-  const CutSearchResult hit = findSatisfyingCutBudgeted(
-      vc, [](const Cut& cut) { return cut.level() == 0; }, &witnessBudget);
+  const CutSearchResult hit = possibly(
+      vc, [](const Cut& cut) { return cut.level() == 0; }, {&witnessBudget});
   ASSERT_TRUE(hit.witness.has_value());
   EXPECT_TRUE(hit.complete);
 
   // Exhausting the lattice without a witness is an exact No.
-  const CutSearchResult miss = findSatisfyingCutBudgeted(
-      vc, [](const Cut& cut) { return cut.last[0] > 5; }, nullptr);
+  const CutSearchResult miss = possibly(
+      vc, [](const Cut& cut) { return cut.last[0] > 5; });
   EXPECT_FALSE(miss.witness.has_value());
   EXPECT_TRUE(miss.complete);
   EXPECT_EQ(miss.explore.end, ExploreEnd::Exhausted);
 
   // A budget stop before a witness is incomplete: no witness is not a No.
   control::Budget tiny(one);
-  const CutSearchResult unknown = findSatisfyingCutBudgeted(
-      vc, [](const Cut& cut) { return cut.last[0] > 5; }, &tiny);
+  const CutSearchResult unknown = possibly(
+      vc, [](const Cut& cut) { return cut.last[0] > 5; }, {&tiny});
   EXPECT_FALSE(unknown.witness.has_value());
   EXPECT_FALSE(unknown.complete);
   EXPECT_EQ(unknown.explore.end, ExploreEnd::BudgetExhausted);
@@ -299,16 +302,16 @@ TEST(LatticeBudgetTest, DefinitelyBudgetedDecidesOrAdmitsIgnorance) {
   control::BudgetLimits generous;
   generous.maxCuts = 1000;
   control::Budget big(generous);
-  const DefinitelyDecision d = definitelyExhaustiveBudgeted(vc, midLevel, &big);
+  const DefinitelyDecision d = definitely(vc, midLevel, {&big});
   EXPECT_TRUE(d.decided);
-  EXPECT_EQ(d.holds, definitelyExhaustive(vc, midLevel));
+  EXPECT_EQ(d.holds, definitely(vc, midLevel).holds);
 
   // Tiny budget on the same query: undecided, never a guess.
   control::BudgetLimits one;
   one.maxCuts = 1;
   control::Budget tiny(one);
   const DefinitelyDecision u =
-      definitelyExhaustiveBudgeted(vc, midLevel, &tiny);
+      definitely(vc, midLevel, {&tiny});
   EXPECT_FALSE(u.decided);
 
   // φ(⊥) is checked before any charge: an initial-state predicate decides
@@ -317,8 +320,8 @@ TEST(LatticeBudgetTest, DefinitelyBudgetedDecidesOrAdmitsIgnorance) {
   while (spent.chargeCut()) {
   }
   ASSERT_TRUE(spent.exhausted());
-  const DefinitelyDecision init = definitelyExhaustiveBudgeted(
-      vc, [](const Cut& cut) { return cut.level() == 0; }, &spent);
+  const DefinitelyDecision init = definitely(
+      vc, [](const Cut& cut) { return cut.level() == 0; }, {&spent});
   EXPECT_TRUE(init.decided);
   EXPECT_TRUE(init.holds);
 }

@@ -10,7 +10,10 @@
 #include <cstdint>
 #include <sstream>
 
+#include "computation/computation.h"
+#include "lattice/explore.h"
 #include "obs_test_util.h"
+#include "par/pool.h"
 
 namespace gpd::obs {
 namespace {
@@ -141,6 +144,44 @@ TEST(Macros, RecordIntoTheProcessRegistry) {
   EXPECT_EQ(registry().counter("cpdhb_invocations").value(), 0u);
   EXPECT_EQ(registry().gauge("frontier_cuts_peak").value(), 0);
   EXPECT_EQ(registry().histogram("plan_vs_actual").count(), 0u);
+#endif
+  registry().reset();
+}
+
+// Every lattice search goes through the one BFS driver, so the definitely
+// searches (sequential and pooled) and latticeStats publish the same
+// exploration counters as the possibly search.
+TEST(Counter, EveryLatticeSearchPublishesItsCuts) {
+  ComputationBuilder b(2);
+  for (ProcessId p = 0; p < 2; ++p) {
+    b.appendEvent(p);
+    b.appendEvent(p);
+  }
+  const Computation c = std::move(b).build();
+  const VectorClocks vc(c);
+  // Every run passes a level-2 cut; the search walks the ¬φ cuts below.
+  const lattice::CutPredicate midLevel = [](const Cut& cut) {
+    return cut.level() == 2;
+  };
+  par::Pool pool(2);
+  for (par::Pool* p : {static_cast<par::Pool*>(nullptr), &pool}) {
+    registry().reset();
+    const lattice::DefinitelyDecision d =
+        lattice::definitely(vc, midLevel, {nullptr, p});
+    ASSERT_TRUE(d.decided);
+    EXPECT_TRUE(d.holds);
+    EXPECT_EQ(d.explore.cutsVisited, 3u);
+#ifndef GPD_OBS_DISABLED
+    EXPECT_EQ(registry().counter("lattice_explorations").value(), 1u);
+    EXPECT_EQ(registry().counter("cuts_enumerated").value(), 3u);
+    EXPECT_GT(registry().gauge("frontier_cuts_peak").value(), 0);
+#endif
+  }
+  registry().reset();
+  EXPECT_EQ(lattice::latticeStats(vc).cutCount, 9u);
+#ifndef GPD_OBS_DISABLED
+  EXPECT_EQ(registry().counter("lattice_explorations").value(), 1u);
+  EXPECT_EQ(registry().counter("cuts_enumerated").value(), 9u);
 #endif
   registry().reset();
 }

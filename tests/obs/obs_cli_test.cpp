@@ -21,20 +21,21 @@
 
 #include <sys/wait.h>
 
+#include "../temp_path.h"
 #include "obs_test_util.h"
 
 namespace gpd {
 namespace {
 
-std::string tracePath() {
-  return ::testing::TempDir() + "gpd_obs_cli_test.trace";
+// The suite's shared trace, generated once per test process.
+std::string& tracePath() {
+  static std::string path;
+  return path;
 }
 
-std::string chromePath() {
-  return ::testing::TempDir() + "gpd_obs_cli_test.json";
-}
+std::string chromePath() { return testTempPath("trace.json"); }
 
-std::string outPath() { return ::testing::TempDir() + "gpd_obs_cli_out.txt"; }
+std::string outPath() { return testTempPath("out.txt"); }
 
 // Runs gpdtool with `args`, stdout+stderr captured to outPath(), and
 // returns its exit code.
@@ -57,7 +58,16 @@ std::string slurp(const std::string& path) {
 class ObsCliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    tracePath() = testTempPath("random.trace");
     ASSERT_EQ(runTool("generate random " + tracePath() + " 7"), 0);
+  }
+  static void TearDownTestSuite() {
+    std::remove(tracePath().c_str());
+    std::remove(outPath().c_str());
+  }
+  void TearDown() override {
+    std::remove(outPath().c_str());
+    std::remove(chromePath().c_str());
   }
 };
 
@@ -128,7 +138,7 @@ TEST_F(ObsCliTest, PlanAndMonitorAcceptObsFlags) {
 }
 
 TEST_F(ObsCliTest, ScrapeParsesAndPrettyPrintsAnExposition) {
-  const std::string scrape = ::testing::TempDir() + "gpd_obs_cli.prom";
+  const std::string scrape = testTempPath("good.prom");
   {
     std::ofstream out(scrape);
     out << "# TYPE gpdd_pumps counter\n"
@@ -157,7 +167,7 @@ TEST_F(ObsCliTest, ScrapeParsesAndPrettyPrintsAnExposition) {
 }
 
 TEST_F(ObsCliTest, ScrapeRejectsMalformedExpositionWithExitOne) {
-  const std::string scrape = ::testing::TempDir() + "gpd_obs_cli_bad.prom";
+  const std::string scrape = testTempPath("bad.prom");
   {
     std::ofstream out(scrape);
     // No # EOF terminator — a truncated scrape must not pass silently.

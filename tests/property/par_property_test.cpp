@@ -3,10 +3,11 @@
 // form — same verdict, same witness (lowest combination / frontier index,
 // never the first finisher), same combinationsTotal, same complete flag —
 // across 200 random computations and thread counts {1, 2, 8}, including
-// budget-exhausted Unknown cases under count budgets. Only the progress
-// counters may differ, and only when a Yes short-circuits the scan, so on
-// Unknown outcomes the serialized result (a canonical checkpoint string
-// including progress) must match byte for byte.
+// budget-exhausted Unknown cases under count budgets. The progress
+// counters match too: on a Yes short-circuit a parallel scan reports the
+// sequential prefix and gives its over-claimed charges back to the budget,
+// so the serialized result (a canonical checkpoint string including
+// progress) must match byte for byte.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -181,12 +182,12 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
     const std::string t = "trial " + std::to_string(trial);
 
     const lattice::CutSearchResult seq =
-        lattice::findSatisfyingCutBudgeted(vc, phi);
+        lattice::possibly(vc, phi);
     control::BudgetLimits tiny;
     tiny.maxCuts = 1 + static_cast<std::uint64_t>(trial % 5);
     control::Budget seqBudget(tiny);
     const lattice::CutSearchResult seqTiny =
-        lattice::findSatisfyingCutBudgeted(vc, phi, &seqBudget);
+        lattice::possibly(vc, phi, {&seqBudget});
     if (!seqTiny.complete) ++incompletes;
 
     for (par::Pool* poolPtr : pools.all) {
@@ -195,7 +196,7 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
           t + " threads=" + std::to_string(pool.threads());
 
       const lattice::CutSearchResult par =
-          lattice::findSatisfyingCutParallel(vc, phi, pool);
+          lattice::possibly(vc, phi, {nullptr, &pool});
       EXPECT_EQ(par.complete, seq.complete) << label;
       ASSERT_EQ(par.witness.has_value(), seq.witness.has_value()) << label;
       if (seq.witness.has_value()) {
@@ -204,7 +205,7 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
 
       control::Budget parBudget(tiny);
       const lattice::CutSearchResult parTiny =
-          lattice::findSatisfyingCutParallel(vc, phi, pool, &parBudget);
+          lattice::possibly(vc, phi, {&parBudget, &pool});
       EXPECT_EQ(parTiny.complete, seqTiny.complete) << label << " tiny";
       ASSERT_EQ(parTiny.witness.has_value(), seqTiny.witness.has_value())
           << label << " tiny";
@@ -221,14 +222,69 @@ TEST(ParPropertyTest, LatticeSearchMatchesSequentialForAnyThreadCount) {
       }
 
       const lattice::DefinitelyDecision seqDef =
-          lattice::definitelyExhaustiveBudgeted(vc, phi);
+          lattice::definitely(vc, phi);
       const lattice::DefinitelyDecision parDef =
-          lattice::definitelyExhaustiveParallel(vc, phi, pool);
+          lattice::definitely(vc, phi, {nullptr, &pool});
       EXPECT_EQ(parDef.decided, seqDef.decided) << label;
       EXPECT_EQ(parDef.holds, seqDef.holds) << label;
     }
   }
   EXPECT_GT(incompletes, 0);
+}
+
+// Progress is part of the contract: a pooled lattice search reports the
+// sequential prefix as cutsVisited, gives the cut charges its workers made
+// past the witness back to the budget, and sees the same frontier.
+TEST(ParPropertyTest, LatticeProgressMatchesSequentialForAnyThreadCount) {
+  Rng rng(271828);
+  PoolSet pools;
+  int hits = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Corpus corpus(rng, trial);
+    const VectorClocks vc(corpus.computation);
+    const SumPredicate pred = wideSum();
+    const lattice::CutPredicate phi = [&](const Cut& cut) {
+      return pred.holdsAtCut(corpus.trace, cut);
+    };
+    const std::string t = "trial " + std::to_string(trial);
+    control::BudgetLimits limits;
+    limits.maxCuts = trial % 2 == 0 ? 1 + static_cast<std::uint64_t>(trial % 9)
+                                    : 1000000;
+    control::Budget seqBudget(limits);
+    const lattice::CutSearchResult seq =
+        lattice::possibly(vc, phi, {&seqBudget});
+    if (seq.witness.has_value()) ++hits;
+    control::Budget seqDefBudget(limits);
+    const lattice::DefinitelyDecision seqDef =
+        lattice::definitely(vc, phi, {&seqDefBudget});
+
+    for (par::Pool* pool : pools.all) {
+      const std::string label =
+          t + " threads=" + std::to_string(pool->threads());
+      control::Budget parBudget(limits);
+      const lattice::CutSearchResult par =
+          lattice::possibly(vc, phi, {&parBudget, pool});
+      EXPECT_EQ(par.explore.cutsVisited, seq.explore.cutsVisited) << label;
+      EXPECT_EQ(par.explore.peakFrontierBytes, seq.explore.peakFrontierBytes)
+          << label;
+      EXPECT_EQ(parBudget.progress().cutsVisited,
+                seqBudget.progress().cutsVisited)
+          << label;
+      EXPECT_EQ(parBudget.reason(), seqBudget.reason()) << label;
+
+      control::Budget parDefBudget(limits);
+      const lattice::DefinitelyDecision parDef =
+          lattice::definitely(vc, phi, {&parDefBudget, pool});
+      EXPECT_EQ(parDef.decided, seqDef.decided) << label;
+      EXPECT_EQ(parDef.holds, seqDef.holds) << label;
+      EXPECT_EQ(parDef.explore.cutsVisited, seqDef.explore.cutsVisited)
+          << label;
+      EXPECT_EQ(parDefBudget.progress().cutsVisited,
+                seqDefBudget.progress().cutsVisited)
+          << label;
+    }
+  }
+  EXPECT_GT(hits, 0);
 }
 
 // Detector-level: the routed facade with a pool produces byte-identical

@@ -37,7 +37,7 @@ class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {
 
   static bool latticePossibly(const System& s,
                               const lattice::CutPredicate& phi) {
-    return lattice::possiblyExhaustive(s.clocks, phi);
+    return lattice::possibly(s.clocks, phi).witness.has_value();
   }
 };
 
@@ -69,9 +69,9 @@ TEST_P(PropertySweep, SingularAlgorithmsAgreeWithEachOtherAndLattice) {
         {{2 * g, "b", rng.chance(0.5)}, {2 * g + 1, "b", rng.chance(0.5)}});
   }
   const VectorClocks clocks(comp);
-  const bool expected = lattice::possiblyExhaustive(clocks, [&](const Cut& c) {
+  const bool expected = lattice::possibly(clocks, [&](const Cut& c) {
     return pred.holdsAtCut(trace, c);
-  });
+  }).witness.has_value();
   EXPECT_EQ(detect::detectSingularByProcessEnumeration(clocks, trace, pred).found,
             expected);
   EXPECT_EQ(detect::detectSingularByChainCover(clocks, trace, pred).found,
@@ -85,7 +85,7 @@ TEST_P(PropertySweep, SumExtremaBracketEveryCut) {
     terms.push_back({p, "x"});
   }
   const detect::SumExtrema ext = detect::sumExtrema(s.clocks, s.trace, terms);
-  lattice::forEachConsistentCut(s.clocks, [&](const Cut& cut) {
+  lattice::explore(s.clocks, [&](const Cut& cut) {
     std::int64_t sum = 0;
     for (const SumTerm& t : terms) {
       sum += s.trace.valueAtCut(cut, t.process, t.var);
@@ -118,9 +118,9 @@ TEST_P(PropertySweep, DefinitelyConjunctiveEquivalentToLattice) {
     pred.terms.push_back(varTrue(p, "b"));
   }
   const auto res = detect::definitelyConjunctive(s.clocks, s.trace, pred);
-  EXPECT_EQ(res.holds, lattice::definitelyExhaustive(s.clocks, [&](const Cut& c) {
+  EXPECT_EQ(res.holds, lattice::definitely(s.clocks, [&](const Cut& c) {
               return pred.holdsAtCut(s.trace, c);
-            }));
+            }).holds);
 }
 
 TEST_P(PropertySweep, DnfDecompositionEquivalentToLattice) {

@@ -652,18 +652,32 @@ class Runner {
     gpd::Rng garbageRng(o_.seed * 0x9e3779b97f4a7c15ULL + 3);
 
     if (leader) {
+      // Both barriers below wait for a file to appear, so files left by an
+      // earlier run must go first or they would pass at once.
+      ::unlink(replSockPath().c_str());
+      ::unlink(followerSnapshotPath().c_str());
       child_ = spawnServer(o_, false,
                            {"--replication-socket", replSockPath()});
+      // The follower must reach the leader within its failover deadline,
+      // which runs from its start: spawn it only once the leader's
+      // replication socket exists, so a slow leader start on a loaded box
+      // cannot use the deadline up.
+      if (!waitForFile(replSockPath(),
+                       "leader never opened its replication socket")) {
+        return false;
+      }
       follower_ = spawnServer(o_, false,
                               {"--follow", replSockPath(),
                                "--failover-after-ms", "2000"},
-                              o_.checkpointPath + ".follower");
+                              followerSnapshotPath());
       // Attach barrier: the follower persists the leader's snapshot as the
       // head of its own manifest chain the moment it lands. Waiting for
       // that file guarantees a standby exists before any batch flows — on
-      // a loaded single-core box the workload can otherwise outrun the
-      // follower's connect loop and the kill would hit with no replica.
-      if (!waitForFollowerAttach()) return false;
+      // a loaded box the workload can otherwise outrun the follower's
+      // connect loop and the kill would hit with no replica.
+      if (!waitForFile(followerSnapshotPath(), "follower never attached")) {
+        return false;
+      }
     } else {
       child_ = spawnServer(o_, false);
     }
@@ -733,13 +747,17 @@ class Runner {
  private:
   std::string replSockPath() const { return o_.checkpointPath + ".repl"; }
 
-  bool waitForFollowerAttach() {
-    const std::string snapFile = o_.checkpointPath + ".follower";
+  std::string followerSnapshotPath() const {
+    return o_.checkpointPath + ".follower";
+  }
+
+  // Polls for `path` to exist (a file or a socket), for up to 30 s.
+  bool waitForFile(const std::string& path, const std::string& what) {
     for (int waited = 0; waited < 30000; waited += 5) {
-      if (std::ifstream(snapFile).good()) return true;
+      if (::access(path.c_str(), F_OK) == 0) return true;
       ::poll(nullptr, 0, 5);
     }
-    return fail("follower never attached (no '" + snapFile + "')");
+    return fail(what + " (no '" + path + "')");
   }
 
   // Polls the leader's telemetry file until it parses as valid OpenMetrics

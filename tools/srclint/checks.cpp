@@ -29,10 +29,8 @@ const std::set<std::string>& chargeCalls() {
 // these must charge a budget or poll a cancel token (gpd-budget-charge).
 const std::set<std::string>& kernelCalls() {
   static const std::set<std::string> s = {
-      // lattice BFS expansion and the unbudgeted exploration wrappers
-      "expand", "exploreConsistentCuts", "forEachConsistentCut",
-      "findSatisfyingCut", "possiblyExhaustive", "definitelyExhaustive",
-      "latticeStats",
+      // the lattice BFS and its wrappers
+      "explore", "possibly", "definitely", "latticeStats",
       // CPDHB scan — one invocation per enumeration combination (Sec. 3.3)
       "findConsistentSelection", "findConsistentSelectionImpl",
       // slicing kernels: the per-event linear-detector fixpoint and the
