@@ -20,6 +20,10 @@ struct SymCase {
   SymmetricPredicate (*build)(std::vector<SumTerm>);
 };
 
+// gtest would otherwise print the two pointers' bytes, which change with
+// address-space layout and so make the registered test names differ per build.
+void PrintTo(const SymCase& sc, std::ostream* os) { *os << sc.name; }
+
 SymmetricPredicate buildXor(std::vector<SumTerm> v) {
   return exclusiveOr(std::move(v));
 }
