@@ -219,8 +219,10 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
   // check runs inline on each visited cut; the cuts are collected for the
   // quadratic linearity/regularity checks only up to one past their limit,
   // which is enough for those checks to answer Unknown.
-  const auto phi = [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); };
+  const CnfPredicate::Bound bound = pred.bind(trace);
+  const auto phi = [&](const Cut& cut) { return bound.holds(cut); };
   std::vector<Cut> cuts;
+  Cut succ;
   std::vector<char> holds;
   std::uint64_t visited = 0;
   bool capped = false;
@@ -240,7 +242,7 @@ CnfClassification classifyCnf(const VectorClocks& clocks,
       for (ProcessId p = 0; p < comp.processCount(); ++p) {
         if (cut.last[p] + 1 >= comp.eventCount(p)) continue;
         if (!clocks.enabled(p, cut)) continue;
-        Cut succ = cut;
+        succ.last.assign(cut.last.begin(), cut.last.end());
         ++succ.last[p];
         if (!phi(succ)) {
           stableViolated = true;

@@ -29,10 +29,14 @@ class VectorClocks {
     return clocks_[static_cast<std::size_t>(comp_->node(e)) * n_ + p];
   }
 
+  // V(e) as n contiguous ints, valid while this object lives.
+  const int* row(const EventId& e) const {
+    return &clocks_[static_cast<std::size_t>(comp_->node(e)) * n_];
+  }
+
   // The full timestamp of e, as sent on the wire by the online monitor.
   std::vector<int> clockVector(const EventId& e) const {
-    const int* row = &clocks_[static_cast<std::size_t>(comp_->node(e)) * n_];
-    return std::vector<int>(row, row + n_);
+    return std::vector<int>(row(e), row(e) + n_);
   }
 
   // e ≤ f in the computation's partial order (reflexive).

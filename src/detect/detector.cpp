@@ -61,6 +61,16 @@ StepRun exactDefinitely(bool holds) {
   return exactRun(holds ? Outcome::Yes : Outcome::No);
 }
 
+// A CNF or Σ predicate as the lattice kernels evaluate it: bound to the
+// trace once, so no cut pays a variable-name lookup.
+template <class Predicate>
+lattice::CutPredicate latticePredicate(const Predicate& pred,
+                                       const VariableTrace& trace) {
+  return [bound = pred.bind(trace)](const Cut& cut) {
+    return bound.holds(cut);
+  };
+}
+
 // Truth table of the CNF's regular skeleton: ok[p][i] is true iff every
 // single-process clause hosted on p holds at p's event i. An empty ok[p]
 // means p hosts no single-process clause (unconstrained by the skeleton).
@@ -108,9 +118,10 @@ ForbiddenFn skeletonOracle(const std::vector<std::vector<char>>& ok) {
 // restricted to the slice's sublattice. Bit-identity with the unsliced
 // search: every CNF-satisfying cut satisfies the skeleton, so all its events
 // are slice-included and it lies below the slice top — the admitted region
-// contains every satisfying cut, and the restricted BFS preserves the full
-// BFS's level order over that region, so the first witness is the same cut
-// (sequentially and in the pool's deterministic parallel form alike).
+// contains every satisfying cut, and it is down-closed, so the restricted
+// BFS preserves the full BFS's level order over it (lattice::CutAdmit) and
+// the first witness is the same cut (sequentially and in the pool's
+// deterministic parallel form alike).
 StepRun runSliceFirst(const VectorClocks& clocks, const VariableTrace& trace,
                       const CnfPredicate& pred, const analyze::PlanStep& step,
                       par::Pool* pool, control::Budget* budget,
@@ -164,9 +175,7 @@ StepRun runSliceFirst(const VectorClocks& clocks, const VariableTrace& trace,
     if (idx > slice.top.last[p]) return false;
     return slice.included(comp.node({p, idx}));
   };
-  const lattice::CutPredicate phi = [&](const Cut& cut) {
-    return pred.holdsAtCut(trace, cut);
-  };
+  const lattice::CutPredicate phi = latticePredicate(pred, trace);
   const lattice::CutSearchResult search =
       lattice::possibly(clocks, phi, {budget, pool, &admit});
   strace.exploredCuts = search.explore.cutsVisited;
@@ -447,11 +456,7 @@ std::optional<Cut> Detector::possibly(const CnfPredicate& pred) {
         // as such.
         lastAlgorithm_ =
             analyze::toString(analyze::Algorithm::LatticeEnumeration);
-        return searchLattice(
-                   [&](const Cut& cut) {
-                     return pred.holdsAtCut(*trace_, cut);
-                   },
-                   nullptr)
+        return searchLattice(latticePredicate(pred, *trace_), nullptr)
             .witness;
       }
       SliceTrace strace;
@@ -464,10 +469,7 @@ std::optional<Cut> Detector::possibly(const CnfPredicate& pred) {
     }
     default:
       GPD_CHECK(algo == analyze::Algorithm::LatticeEnumeration);
-      return searchLattice(
-                 [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                 nullptr)
-          .witness;
+      return searchLattice(latticePredicate(pred, *trace_), nullptr).witness;
   }
 }
 
@@ -512,8 +514,8 @@ bool Detector::definitely(const CnfPredicate& pred) {
   const analyze::Algorithm algo = route(analyze::planCnf(
       clocks_, *trace_, pred, analyze::Modality::Definitely, routingOptions()));
   GPD_CHECK(algo == analyze::Algorithm::LatticeDefinitely);
-  const lattice::DefinitelyDecision d = decideLattice(
-      [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); }, nullptr);
+  const lattice::DefinitelyDecision d =
+      decideLattice(latticePredicate(pred, *trace_), nullptr);
   GPD_CHECK(d.decided);
   return d.holds;
 }
@@ -526,8 +528,8 @@ bool Detector::definitely(const SumPredicate& pred) {
       pred.relop == Relop::Equal) {
     // Σ = K with |ΔS| > 1: Theorem 7(2) does not apply; decide against the
     // lattice directly (definitelySum would reject the precondition).
-    const lattice::DefinitelyDecision d = decideLattice(
-        [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); }, nullptr);
+    const lattice::DefinitelyDecision d =
+        decideLattice(latticePredicate(pred, *trace_), nullptr);
     GPD_CHECK(d.decided);
     return d.holds;
   }
@@ -631,9 +633,8 @@ Detection Detector::possibly(const CnfPredicate& pred,
             return run;
           }
           case analyze::Algorithm::LatticeEnumeration: {
-            const lattice::CutSearchResult search = searchLattice(
-                [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-                &budget);
+            const lattice::CutSearchResult search =
+                searchLattice(latticePredicate(pred, *trace_), &budget);
             if (!search.complete) return stoppedRun();
             return exactPossibly(search.witness);
           }
@@ -746,9 +747,8 @@ Detection Detector::definitely(const CnfPredicate& pred,
         if (step.algorithm != analyze::Algorithm::LatticeDefinitely) {
           return StepRun{};
         }
-        const lattice::DefinitelyDecision d = decideLattice(
-            [&](const Cut& cut) { return pred.holdsAtCut(*trace_, cut); },
-            &budget);
+        const lattice::DefinitelyDecision d =
+            decideLattice(latticePredicate(pred, *trace_), &budget);
         if (!d.decided) return stoppedRun();
         return exactDefinitely(d.holds);
       });
@@ -772,11 +772,8 @@ Detection Detector::definitely(const SumPredicate& pred,
               // Σ = K with |ΔS| > 1 skips the Theorem 7(2) reduction —
               // decide against the lattice directly, like the unbudgeted
               // path.
-              const lattice::DefinitelyDecision d = decideLattice(
-                  [&](const Cut& cut) {
-                    return pred.holdsAtCut(*trace_, cut);
-                  },
-                  &budget);
+              const lattice::DefinitelyDecision d =
+                  decideLattice(latticePredicate(pred, *trace_), &budget);
               if (!d.decided) return stoppedRun();
               return exactDefinitely(d.holds);
             }

@@ -152,9 +152,9 @@ ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
                                       control::Budget* budget) {
   GPD_CHECK(pred.relop == Relop::Equal);
   GPD_TRACE_SPAN("detect.sum.exact_search");
+  const SumPredicate::Bound bound = pred.bind(trace);
   const lattice::CutSearchResult search = lattice::possibly(
-      clocks,
-      [&](const Cut& cut) { return pred.sumAtCut(trace, cut) == pred.k; },
+      clocks, [&](const Cut& cut) { return bound.sum(cut) == pred.k; },
       {budget});
   ExactSumSearch result;
   result.cut = search.witness;
@@ -178,9 +178,9 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   GPD_TRACE_SPAN("detect.sum.definitely");
   SumDecision result;
   if (pred.relop != Relop::Equal) {
+    const SumPredicate::Bound bound = pred.bind(trace);
     const lattice::DefinitelyDecision d = lattice::definitely(
-        clocks,
-        [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); }, {budget});
+        clocks, [&](const Cut& cut) { return bound.holds(cut); }, {budget});
     result.decided = d.decided;
     result.holds = d.decided && d.holds;
     return result;
@@ -194,7 +194,8 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   GPD_CHECK_MSG(maxAbsEventDelta(deltas) <= 1,
                 "Theorem 7(2) requires every event to change the sum by at "
                 "most 1");
-  const auto sumAt = [&](const Cut& cut) { return pred.sumAtCut(trace, cut); };
+  const SumPredicate::Bound bound = pred.bind(trace);
+  const auto sumAt = [&](const Cut& cut) { return bound.sum(cut); };
   bool anyUndecided = false;
   if (deltas.base <= pred.k) {
     const lattice::DefinitelyDecision d = lattice::definitely(

@@ -14,43 +14,45 @@ namespace gpd::lattice {
 
 namespace {
 
-// One BFS level: its cuts as n contiguous ints each, in insertion order.
-// Storage comes in chunks of at most 64 KiB holding a power-of-two number
-// of cuts, so cut i is a shift and a mask away. Keeping every chunk below
-// glibc's mmap threshold matters: freeing multi-MB buffers raises that
-// threshold dynamically, and the heap then grows instead (higher RSS for
-// the rest of the process). clear() keeps the chunks, so a BFS allocates
-// its widest level once.
+// One BFS level: its cuts as `stride` contiguous ints each (the n cut
+// components, then any per-cut side data), in generation order. Storage
+// comes in chunks of at most 64 KiB holding a power-of-two number of cuts,
+// so cut i is a shift and a mask away. Keeping every chunk below glibc's
+// mmap threshold matters: freeing multi-MB buffers raises that threshold
+// dynamically, and the heap then grows instead (higher RSS for the rest of
+// the process). clear() keeps the chunks, so a BFS allocates its widest
+// level once.
 class LevelArena {
  public:
-  explicit LevelArena(int n) : n_(static_cast<std::size_t>(n)) {
-    const std::size_t stride = std::max<std::size_t>(n_, 1);
-    while ((std::size_t{2} << shift_) * stride * sizeof(int) <= kChunkBytes) {
+  explicit LevelArena(std::size_t stride) : stride_(stride) {
+    const std::size_t ints = std::max<std::size_t>(stride_, 1);
+    while ((std::size_t{2} << shift_) * ints * sizeof(int) <= kChunkBytes) {
       ++shift_;
     }
     mask_ = (std::size_t{1} << shift_) - 1;
-    chunkInts_ = (std::size_t{1} << shift_) * stride;
+    chunkInts_ = (std::size_t{1} << shift_) * ints;
   }
 
   std::size_t size() const { return size_; }
 
   const int* operator[](std::size_t i) const {
-    return chunks_[i >> shift_].get() + (i & mask_) * n_;
+    return chunks_[i >> shift_].get() + (i & mask_) * stride_;
   }
 
-  // Appends a copy of the n ints at `v`.
-  void push(const int* v) {
+  // Appends an uninitialised record and returns its `stride` ints.
+  int* append() {
     const std::size_t chunk = size_ >> shift_;
     if (chunk == chunks_.size()) chunks_.emplace_back(new int[chunkInts_]);
-    std::copy_n(v, n_, chunks_[chunk].get() + (size_ & mask_) * n_);
-    ++size_;
+    return chunks_[chunk].get() + (size_++ & mask_) * stride_;
   }
+
+  void push(const int* v) { std::copy_n(v, stride_, append()); }
 
   void clear() { size_ = 0; }
 
  private:
   static constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
-  std::size_t n_;
+  std::size_t stride_;
   int shift_ = 0;
   std::size_t mask_ = 0;
   std::size_t chunkInts_ = 0;
@@ -115,11 +117,12 @@ class LevelIndex {
   std::size_t count_ = 0;
 };
 
-// One scanner of a level: its first-occurrence successors (in generation
-// order), their index, the scratch cut handed to visit/admit, and how many
-// cuts it charged.
+// One scanner of a level: its successors (in generation order), their
+// first-occurrence index (definitely()'s search only), the scratch cut
+// handed to visit/admit, and how many cuts it charged.
 struct Scanner {
-  explicit Scanner(int n) : next(n), scratch(std::vector<int>(n, 0)) {}
+  Scanner(int n, std::size_t stride)
+      : next(stride), scratch(std::vector<int>(n, 0)) {}
   LevelArena next;
   LevelIndex index;
   Cut scratch;
@@ -130,6 +133,18 @@ struct Scanner {
 // Cuts are charged to a budget in blocks of this many, one atomic claim
 // each; the charges a stop leaves unused are given back.
 constexpr std::uint64_t kChargeBlock = 64;
+
+// Canonical-parent records carry, after the n cut components, the cut's
+// maximal processes as a bit set of 32-bit words: j is maximal in H when
+// H[j] > 0 and no other event of H depends on (j, H[j]).
+bool maximalIn(const int* maximal, int j) {
+  return (static_cast<std::uint32_t>(maximal[j >> 5]) >> (j & 31)) & 1U;
+}
+
+void setMaximal(int* maximal, int j) {
+  maximal[j >> 5] = static_cast<int>(
+      static_cast<std::uint32_t>(maximal[j >> 5]) | (1U << (j & 31)));
+}
 
 const char* toString(ExploreEnd end) {
   switch (end) {
@@ -144,11 +159,19 @@ const char* toString(ExploreEnd end) {
 }
 
 // The one BFS behind explore(), possibly(), definitely() and
-// latticeStats(). `stopAtTop` is definitely()'s goal test: the search ends
-// (VisitorStopped) as soon as the final cut is generated, before it is
-// charged or counted in the frontier.
+// latticeStats().
+//
+// By default each successor H = P + e_p is kept only when P is H's
+// canonical parent (see explore.h), so every cut of a down-closed region is
+// generated exactly once and no index is needed. `definitelySearch` is
+// definitely()'s ¬φ-reachability search instead: its admitted region is not
+// down-closed (a cut's canonical parent may satisfy φ while another parent
+// does not), so it generates every successor and keeps the first
+// occurrence through a LevelIndex; and it ends (VisitorStopped) as soon as
+// the final cut is generated, before that cut is charged or counted in the
+// frontier.
 ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
-                  const ExploreOptions& options, bool stopAtTop) {
+                  const ExploreOptions& options, bool definitelySearch) {
   control::Budget* const budget = options.budget;
   par::Pool* const pool = options.pool;
   const CutAdmit* const admit = options.admit;
@@ -159,6 +182,8 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
   const Computation& comp = clocks.computation();
   const int n = comp.processCount();
   const auto width = static_cast<std::size_t>(n);
+  const std::size_t stride =
+      definitelySearch ? width : width + (width + 31) / 32;
   int topLevel = 0;
   for (ProcessId p = 0; p < n; ++p) topLevel += comp.eventCount(p) - 1;
   // Approximate live bytes of one stored cut (vector header + components):
@@ -179,13 +204,14 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
     return result;
   };
 
-  LevelArena level(n);
-  LevelArena merged(n);
+  LevelArena level(stride);
+  LevelArena merged(stride);
   LevelIndex mergeIndex;
   std::vector<Scanner> scanners;
   scanners.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) scanners.emplace_back(n);
-  level.push(std::vector<int>(width, 0).data());  // the initial cut
+  for (int w = 0; w < workers; ++w) scanners.emplace_back(n, stride);
+  // The initial cut, which has no maximal non-initial event.
+  std::fill_n(level.append(), stride, 0);
 
   for (int depth = 0; level.size() > 0; ++depth) {
     const std::uint64_t size = level.size();
@@ -199,7 +225,7 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
     std::atomic<bool> budgetStop{false};
     const auto scan = [&](Scanner& wk, std::uint64_t begin, std::uint64_t end) {
       wk.next.clear();
-      wk.index.reset(2 * (end - begin));
+      if (definitelySearch) wk.index.reset(2 * (end - begin));
       Cut& cut = wk.scratch;
       std::uint64_t paidUntil = begin;
       for (std::uint64_t pos = begin; pos < end; ++pos) {
@@ -220,7 +246,8 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
           wk.charged += block;
         }
         ++wk.visited;
-        std::copy_n(level[pos], width, cut.last.begin());
+        const int* parent = level[pos];
+        std::copy_n(parent, width, cut.last.begin());
         if (!visit(cut)) {
           std::uint64_t cur = stopPos.load(std::memory_order_relaxed);
           while (pos < cur && !stopPos.compare_exchange_weak(
@@ -228,14 +255,39 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
           }
           return;
         }
+        const int* maximal = parent + width;
         for (ProcessId p = 0; p < n; ++p) {
-          if (cut.last[p] + 1 >= comp.eventCount(p) ||
-              !clocks.enabled(p, cut)) {
-            continue;
+          if (parent[p] + 1 >= comp.eventCount(p)) continue;
+          // V(e) of the next event e of p: enabled iff V(e)[q] <= P[q] for
+          // every other q.
+          const int* next = clocks.row({p, parent[p] + 1});
+          bool keep = true;
+          for (ProcessId q = 0; q < n && keep; ++q) {
+            keep = q == p || next[q] <= parent[q];
           }
+          // Canonical parent: a j > p maximal in P stays maximal in P + e
+          // iff e does not depend on (j, P[j]), i.e. V(e)[j] < P[j].
+          for (ProcessId j = p + 1; j < n && keep && !definitelySearch; ++j) {
+            keep = !maximalIn(maximal, j) || next[j] >= parent[j];
+          }
+          if (!keep) continue;
           ++cut.last[p];
           if (admit == nullptr || (*admit)(p, cut)) {
-            wk.index.insert(cut.last.data(), width, wk.next);
+            if (definitelySearch) {
+              wk.index.insert(cut.last.data(), width, wk.next);
+            } else {
+              // maximal(P + e) = {p} ∪ {j < p maximal in P : V(e)[j] < P[j]}.
+              int* record = wk.next.append();
+              std::copy_n(cut.last.data(), width, record);
+              int* bits = record + width;
+              std::fill(bits, record + stride, 0);
+              for (ProcessId j = 0; j < p; ++j) {
+                if (maximalIn(maximal, j) && next[j] < parent[j]) {
+                  setMaximal(bits, j);
+                }
+              }
+              setMaximal(bits, p);
+            }
           }
           --cut.last[p];
         }
@@ -292,7 +344,8 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
     }
     // Ordered merge: slices are contiguous and ascending, so walking the
     // per-worker successors in worker order follows the sequential
-    // generation order, and first-occurrence dedup yields exactly the
+    // generation order. Canonical successors are already unique and only
+    // concatenate; definitely()'s first-occurrence dedup yields exactly the
     // sequential next level. One worker's successors already are it.
     if (workers == 1) {
       std::swap(level, scanners[0].next);
@@ -300,15 +353,19 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
       std::size_t total = 0;
       for (const Scanner& wk : scanners) total += wk.next.size();
       merged.clear();
-      mergeIndex.reset(total);
+      if (definitelySearch) mergeIndex.reset(total);
       for (const Scanner& wk : scanners) {
         for (std::size_t i = 0; i < wk.next.size(); ++i) {
-          mergeIndex.insert(wk.next[i], width, merged);
+          if (definitelySearch) {
+            mergeIndex.insert(wk.next[i], width, merged);
+          } else {
+            merged.push(wk.next[i]);
+          }
         }
       }
       std::swap(level, merged);
     }
-    if (stopAtTop && depth + 1 == topLevel && level.size() > 0) {
+    if (definitelySearch && depth + 1 == topLevel && level.size() > 0) {
       result.end = ExploreEnd::VisitorStopped;  // the final cut was reached
       return finish();
     }
@@ -329,7 +386,7 @@ ExploreResult bfs(const VectorClocks& clocks, const CutVisitor& visit,
 
 ExploreResult explore(const VectorClocks& clocks, const CutVisitor& visit,
                       const ExploreOptions& options) {
-  return bfs(clocks, visit, options, /*stopAtTop=*/false);
+  return bfs(clocks, visit, options, /*definitelySearch=*/false);
 }
 
 CutSearchResult possibly(const VectorClocks& clocks, const CutPredicate& phi,
@@ -337,7 +394,7 @@ CutSearchResult possibly(const VectorClocks& clocks, const CutPredicate& phi,
   CutSearchResult result;
   result.explore = bfs(
       clocks, [&](const Cut& cut) { return !phi(cut); }, options,
-      /*stopAtTop=*/false);
+      /*definitelySearch=*/false);
   result.witness = result.explore.stoppedAt;
   // Exact iff a witness surfaced or the whole lattice was examined.
   result.complete = result.witness.has_value() ||
@@ -366,7 +423,8 @@ DefinitelyDecision definitely(const VectorClocks& clocks,
   ExploreOptions avoiding = options;
   avoiding.admit = &notPhi;
   decision.explore = bfs(
-      clocks, [](const Cut&) { return true; }, avoiding, /*stopAtTop=*/true);
+      clocks, [](const Cut&) { return true; }, avoiding,
+      /*definitelySearch=*/true);
   switch (decision.explore.end) {
     case ExploreEnd::Exhausted:  // no ¬φ path reaches ⊤
       decision.holds = true;

@@ -15,6 +15,15 @@
 // exponential blowup into an explicit incomplete result instead of a hang
 // or an OOM. A pool makes the same BFS level-synchronous parallel with a
 // bit-identical result (see ExploreOptions::pool).
+//
+// Visit order. Level L holds the cuts with L non-initial events. The
+// canonical parent of a cut H ≠ ⊥ is H minus its highest-index maximal
+// non-initial event ((j, H[j]) is maximal when no other event of H depends
+// on it). Level 0 is ⊥; level L+1 lists, for each cut P of level L in
+// order and each process p ascending, the successor P + (next event of p)
+// whose canonical parent is P. Every cut has exactly one canonical parent
+// one level down, so each cut is generated exactly once and the BFS needs
+// no duplicate index; the order is a function of the computation alone.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +48,19 @@ using CutVisitor = std::function<bool(const Cut&)>;
 
 // Restriction of the BFS to a sublattice (the slice-first pre-pass): called
 // with the advanced process and the successor cut; returning false prunes
-// that successor from the frontier. Soundness is the caller's business — the
-// BFS then only covers the cuts reachable through admitted successors (for a
-// slice restriction: every cut whose events are all included and that lies
-// below the slice top, which contains every satisfying cut of any predicate
-// implying the sliced one).
+// that successor from the frontier.
+//
+// Contract: the admitted region must be down-closed — admit(p, H) returns
+// true exactly for the cuts H of a set R that contains every consistent cut
+// below any of its members (a `≤ top` bound; a slice restriction, whose R is
+// every cut whose events are all included and that lies below the slice
+// top, which contains every satisfying cut of any predicate implying the
+// sliced one). Then every cut of R has its canonical parent in R, and the
+// BFS visits exactly R, in the unrestricted order filtered to R. A region
+// that is not down-closed loses every cut whose canonical parent it
+// refuses, even when another parent is admitted. definitely()'s ¬φ search
+// is the one such restriction; it generates every successor and keeps first
+// occurrences instead (see definitely()).
 using CutAdmit = std::function<bool(ProcessId, const Cut&)>;
 
 // How an exploration ended. Callers that stop the visit early (searches)
@@ -71,10 +88,11 @@ struct ExploreOptions {
   // thread-safe (the library's variable-based predicates are: evaluation
   // is pure const reads of the trace).
   par::Pool* pool = nullptr;
-  // Optional sublattice restriction (see CutAdmit). The restricted BFS
-  // visits, level by level, exactly the full BFS's visit order filtered to
-  // the admitted region (the admitted sublattice's generator sets coincide,
-  // so the relative order of common cuts is preserved).
+  // Optional sublattice restriction; the region must be down-closed (see
+  // CutAdmit). The restricted BFS visits, level by level, exactly the full
+  // BFS's visit order filtered to the admitted region: every admitted cut
+  // has the same canonical parent as in the full BFS, and that parent is
+  // admitted too.
   const CutAdmit* admit = nullptr;
 };
 
@@ -93,10 +111,10 @@ struct ExploreResult {
 };
 
 // Visits every consistent cut exactly once in level order (level = number
-// of non-initial events; within a level, in first-generation order). Stops
-// early when `visit` returns false (VisitorStopped) or when the budget
-// trips (BudgetExhausted); the result separates the two from genuine
-// exhaustion.
+// of non-initial events; within a level, in canonical-parent order, see the
+// top of this file). Stops early when `visit` returns false
+// (VisitorStopped) or when the budget trips (BudgetExhausted); the result
+// separates the two from genuine exhaustion.
 ExploreResult explore(const VectorClocks& clocks, const CutVisitor& visit,
                       const ExploreOptions& options = {});
 
@@ -116,10 +134,14 @@ CutSearchResult possibly(const VectorClocks& clocks, const CutPredicate& phi,
 // Three-valued definitely(φ): every run passes through a cut satisfying φ.
 // Equivalent to: no monotone path of ¬φ-cuts from the initial to the final
 // cut, so the BFS admits only ¬φ successors and stops (holds = false) as
-// soon as the final cut is generated. `decided` is false when the budget
-// stopped the search before it could prove either direction. φ(⊥) is
-// checked before any charge. options.admit must be null: the search
-// defines its own restriction.
+// soon as the final cut is generated. The ¬φ region is not down-closed (a
+// cut's canonical parent may satisfy φ while another parent does not), so
+// this search alone generates every successor of a level and keeps the
+// first occurrence of each cut through a hash index; its level order is
+// first-generation order. `decided` is false when the budget stopped the
+// search before it could prove either direction. φ(⊥) is checked before any
+// charge. options.admit must be null: the search defines its own
+// restriction.
 struct DefinitelyDecision {
   bool decided = true;
   bool holds = false;

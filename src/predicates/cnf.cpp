@@ -6,6 +6,33 @@
 
 namespace gpd {
 
+CnfPredicate::Bound::Bound(const CnfPredicate& pred, const VariableTrace& trace)
+    : trace_(&trace) {
+  for (const CnfClause& clause : pred.clauses) {
+    for (const BoolLiteral& l : clause) {
+      literals_.push_back(
+          Literal{l.process, l.positive, trace.find(l.process, l.var), &l});
+    }
+    ends_.push_back(literals_.size());
+  }
+}
+
+bool CnfPredicate::Bound::holds(const Cut& cut) const {
+  std::size_t begin = 0;
+  for (const std::size_t end : ends_) {
+    bool sat = false;
+    for (std::size_t i = begin; i < end && !sat; ++i) {
+      const Literal& l = literals_[i];
+      const int at = cut.last[l.process];
+      sat = l.history != nullptr ? (l.history[at] != 0) == l.positive
+                                 : l.source->holds(*trace_, at);
+    }
+    if (!sat) return false;
+    begin = end;
+  }
+  return true;
+}
+
 bool CnfPredicate::isSingular() const {
   std::set<ProcessId> seen;
   for (std::size_t j = 0; j < clauses.size(); ++j) {

@@ -7,6 +7,7 @@
 // 3.2/3.3 give the algorithms implemented in src/detect.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,32 @@ using CnfClause = std::vector<BoolLiteral>;
 
 struct CnfPredicate {
   std::vector<CnfClause> clauses;
+
+  // The predicate resolved against one trace for repeated evaluation (the
+  // lattice kernels call it once per cut): every literal holds its process
+  // and a pointer into its variable's history, so holds() does no name
+  // lookups. Agrees with holdsAtCut() on every cut. A literal whose
+  // variable is not defined fails when it is evaluated, exactly as
+  // holdsAtCut() fails; one whose process the trace lacks fails to bind.
+  // Valid while the predicate and the trace live.
+  class Bound {
+   public:
+    Bound(const CnfPredicate& pred, const VariableTrace& trace);
+    bool holds(const Cut& cut) const;
+
+   private:
+    struct Literal {
+      ProcessId process;
+      bool positive;
+      const std::int64_t* history;  // null: undefined, fails on evaluation
+      const BoolLiteral* source;
+    };
+    const VariableTrace* trace_;
+    std::vector<Literal> literals_;   // clause by clause
+    std::vector<std::size_t> ends_;   // one past each clause's last literal
+  };
+
+  Bound bind(const VariableTrace& trace) const { return Bound(*this, trace); }
 
   // No two clauses contain variables from the same process.
   bool isSingular() const;

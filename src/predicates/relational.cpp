@@ -6,6 +6,24 @@
 
 namespace gpd {
 
+SumPredicate::Bound::Bound(const SumPredicate& pred, const VariableTrace& trace)
+    : pred_(&pred), trace_(&trace) {
+  terms_.reserve(pred.terms.size());
+  for (const SumTerm& t : pred.terms) {
+    terms_.push_back(Term{t.process, trace.find(t.process, t.var), &t});
+  }
+}
+
+std::int64_t SumPredicate::Bound::sum(const Cut& cut) const {
+  std::int64_t sum = 0;
+  for (const Term& t : terms_) {
+    sum += t.history != nullptr
+               ? t.history[cut.last[t.process]]
+               : trace_->valueAtCut(cut, t.process, t.source->var);
+  }
+  return sum;
+}
+
 std::int64_t SumPredicate::eventDeltaBound(const VariableTrace& trace) const {
   const Computation& comp = trace.computation();
   std::vector<std::int64_t> perNode(comp.totalEvents(), 0);

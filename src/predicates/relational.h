@@ -27,6 +27,34 @@ struct SumPredicate {
   Relop relop = Relop::Equal;
   std::int64_t k = 0;
 
+  // The predicate resolved against one trace for repeated evaluation (the
+  // lattice kernels call it once per cut): every term holds its process and
+  // a pointer into its variable's history, so sum() does no name lookups.
+  // Agrees with sumAtCut()/holdsAtCut() on every cut. A term whose variable
+  // is not defined fails when it is evaluated, exactly as sumAtCut() fails;
+  // one whose process the trace lacks fails to bind. Valid while the
+  // predicate and the trace live.
+  class Bound {
+   public:
+    Bound(const SumPredicate& pred, const VariableTrace& trace);
+    std::int64_t sum(const Cut& cut) const;
+    bool holds(const Cut& cut) const {
+      return compare(sum(cut), pred_->relop, pred_->k);
+    }
+
+   private:
+    struct Term {
+      ProcessId process;
+      const std::int64_t* history;  // null: undefined, fails on evaluation
+      const SumTerm* source;
+    };
+    const SumPredicate* pred_;
+    const VariableTrace* trace_;
+    std::vector<Term> terms_;
+  };
+
+  Bound bind(const VariableTrace& trace) const { return Bound(*this, trace); }
+
   std::int64_t sumAtCut(const VariableTrace& trace, const Cut& cut) const {
     std::int64_t sum = 0;
     for (const SumTerm& t : terms) {

@@ -25,9 +25,11 @@ void VariableTrace::defineBool(ProcessId p, std::string name,
   define(p, std::move(name), std::move(ints));
 }
 
-bool VariableTrace::has(ProcessId p, std::string_view name) const {
+const std::int64_t* VariableTrace::find(ProcessId p,
+                                        std::string_view name) const {
   GPD_CHECK(p >= 0 && p < comp_->processCount());
-  return vars_[p].find(std::string(name)) != vars_[p].end();
+  const auto it = vars_[p].find(std::string(name));
+  return it != vars_[p].end() ? it->second.data() : nullptr;
 }
 
 VariableTrace VariableTrace::rebindTo(const Computation& other) const {

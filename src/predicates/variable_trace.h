@@ -33,7 +33,13 @@ class VariableTrace {
   // Convenience: boolean history (stored as 0/1).
   void defineBool(ProcessId p, std::string name, const std::vector<bool>& values);
 
-  bool has(ProcessId p, std::string_view name) const;
+  bool has(ProcessId p, std::string_view name) const {
+    return find(p, name) != nullptr;
+  }
+
+  // The history of `name` on p (eventCount(p) values), or null when the
+  // variable is not defined there. Valid while this trace lives.
+  const std::int64_t* find(ProcessId p, std::string_view name) const;
 
   // Names of the variables defined on process p, sorted (deterministic).
   std::vector<std::string> variableNames(ProcessId p) const;

@@ -73,6 +73,19 @@ TEST_F(CliExitTest, BadInputExitsOne) {
   EXPECT_EQ(runTool("detect " + tracePath() + " conj --budget-ms x 0:b"), 1);
 }
 
+TEST_F(CliExitTest, BadCnfLiteralExitsOne) {
+  // A CNF literal naming an undefined variable or a process outside the
+  // 5-process trace is bad input, for detect and for plan alike.
+  for (const std::string verb : {"detect ", "plan "}) {
+    EXPECT_EQ(runTool(verb + tracePath() + " cnf 0:nosuch,1:b 2:b"), 1)
+        << verb;
+    EXPECT_EQ(runTool(verb + tracePath() + " cnf 7:b,0:b 1:b,2:b"), 1)
+        << verb;
+    EXPECT_EQ(runTool(verb + tracePath() + " cnf 0:b -1:b"), 1) << verb;
+    EXPECT_EQ(runTool(verb + tracePath() + " cnf 0:b,1:b 2:b"), 0) << verb;
+  }
+}
+
 TEST_F(CliExitTest, InternalInvariantFailureExitsTwo) {
   // Two conjunctive terms on the same process violate a CPDHB precondition:
   // a CheckFailure, reported as an internal error, distinct from bad input.

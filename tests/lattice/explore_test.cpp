@@ -1,7 +1,13 @@
 #include "lattice/explore.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "computation/random.h"
 #include "graph/linear_extension.h"
@@ -324,6 +330,255 @@ TEST(LatticeBudgetTest, DefinitelyBudgetedDecidesOrAdmitsIgnorance) {
       vc, [](const Cut& cut) { return cut.level() == 0; }, {&spent});
   EXPECT_TRUE(init.decided);
   EXPECT_TRUE(init.holds);
+}
+
+// --- Enumeration order reference -------------------------------------------
+//
+// explore.h documents the level order: level L+1 lists, for each cut P of
+// level L in order and each process p ascending, P + (next event of p) when
+// P is that cut's canonical parent (the cut minus its highest-index maximal
+// non-initial event). The helpers below rebuild that order from the
+// definitions alone, and the level sets from a brute-force scan.
+
+using CutVec = std::vector<int>;
+using Levels = std::vector<std::vector<CutVec>>;
+
+// explore()'s visit order, split into levels; it stops after `limit`
+// cuts, so a kernel that generates duplicates fails fast instead of
+// enumerating an exponential blowup.
+Levels visitedLevels(const VectorClocks& vc, const ExploreOptions& opts = {},
+                     std::size_t limit = SIZE_MAX) {
+  Levels levels;
+  std::size_t visited = 0;
+  explore(
+      vc,
+      [&](const Cut& cut) {
+        const auto level = static_cast<std::size_t>(cut.level());
+        if (levels.size() <= level) levels.resize(level + 1);
+        levels[level].push_back(cut.last);
+        return ++visited < limit;
+      },
+      opts);
+  return levels;
+}
+
+// Every consistent cut of the full grid, by level (small computations).
+std::vector<std::set<CutVec>> bruteForceLevels(const VectorClocks& vc) {
+  const Computation& c = vc.computation();
+  std::vector<std::set<CutVec>> levels;
+  CutVec idx(static_cast<std::size_t>(c.processCount()), 0);
+  while (true) {
+    const Cut cut{idx};
+    if (vc.isConsistent(cut)) {
+      const auto level = static_cast<std::size_t>(cut.level());
+      if (levels.size() <= level) levels.resize(level + 1);
+      levels[level].insert(idx);
+    }
+    int p = 0;
+    while (p < c.processCount() && idx[p] + 1 >= c.eventCount(p)) {
+      idx[p] = 0;
+      ++p;
+    }
+    if (p == c.processCount()) break;
+    ++idx[p];
+  }
+  return levels;
+}
+
+// Every consistent cut reachable from ⊥ by single enabled events, by level
+// (every consistent cut is; for computations too wide for the grid).
+std::vector<std::set<CutVec>> closureLevels(const VectorClocks& vc) {
+  const Computation& c = vc.computation();
+  std::vector<std::set<CutVec>> levels{
+      {CutVec(static_cast<std::size_t>(c.processCount()), 0)}};
+  while (true) {
+    std::set<CutVec> next;
+    for (const CutVec& from : levels.back()) {
+      for (ProcessId p = 0; p < c.processCount(); ++p) {
+        if (from[p] + 1 >= c.eventCount(p) || !vc.enabled(p, Cut{from})) {
+          continue;
+        }
+        CutVec to = from;
+        ++to[p];
+        next.insert(to);
+      }
+    }
+    if (next.empty()) return levels;
+    levels.push_back(std::move(next));
+  }
+}
+
+// H minus its highest-index maximal non-initial event: (j, H[j]) is
+// maximal when no other event of H depends on it.
+CutVec canonicalParent(const VectorClocks& vc, const CutVec& h) {
+  const int n = static_cast<int>(h.size());
+  for (ProcessId j = n - 1; j >= 0; --j) {
+    if (h[j] == 0) continue;
+    bool maximal = true;
+    for (ProcessId q = 0; q < n && maximal; ++q) {
+      maximal = q == j || vc.clock({q, h[q]}, j) < h[j];
+    }
+    if (maximal) {
+      CutVec parent = h;
+      --parent[j];
+      return parent;
+    }
+  }
+  ADD_FAILURE() << "the initial cut has no parent";
+  return h;
+}
+
+// The documented order, built level by level from the definitions.
+Levels referenceLevels(const VectorClocks& vc) {
+  const Computation& c = vc.computation();
+  Levels levels{{CutVec(static_cast<std::size_t>(c.processCount()), 0)}};
+  while (true) {
+    std::vector<CutVec> next;
+    for (const CutVec& parent : levels.back()) {
+      for (ProcessId p = 0; p < c.processCount(); ++p) {
+        if (parent[p] + 1 >= c.eventCount(p) ||
+            !vc.enabled(p, Cut{parent})) {
+          continue;
+        }
+        CutVec h = parent;
+        ++h[p];
+        if (canonicalParent(vc, h) == parent) next.push_back(std::move(h));
+      }
+    }
+    if (next.empty()) return levels;
+    levels.push_back(std::move(next));
+  }
+}
+
+// A chain of processes too wide for one 64-bit word: processes 0, 40 and
+// n-1 run two free events each, every other process runs two events whose
+// second sends to the next chain process's first.
+Computation wideChain(int n) {
+  ComputationBuilder b(n);
+  const auto isFree = [n](ProcessId p) {
+    return p == 0 || p == 40 || p == n - 1;
+  };
+  std::optional<EventId> prevSend;
+  for (ProcessId p = 0; p < n; ++p) {
+    const EventId first = b.appendEvent(p);
+    const EventId second = b.appendEvent(p);
+    if (isFree(p)) continue;
+    if (prevSend.has_value()) b.addMessage(*prevSend, first);
+    prevSend = second;
+  }
+  return std::move(b).build();
+}
+
+void expectMatchesReference(const VectorClocks& vc,
+                            const std::vector<std::set<CutVec>>& truth,
+                            const std::string& label) {
+  std::size_t total = 0;
+  for (const auto& level : truth) total += level.size();
+  const Levels visited = visitedLevels(vc, {}, total + 1);
+  ASSERT_EQ(visited.size(), truth.size()) << label;
+  for (std::size_t l = 0; l < visited.size(); ++l) {
+    const std::set<CutVec> asSet(visited[l].begin(), visited[l].end());
+    EXPECT_EQ(asSet.size(), visited[l].size())
+        << label << ": duplicate cut on level " << l;
+    EXPECT_EQ(asSet, truth[l]) << label << ": level " << l;
+  }
+  EXPECT_EQ(visited, referenceLevels(vc)) << label;
+}
+
+// Pooled ≡ sequential for one exploration: the totals, and for a sample of
+// stop targets the stop cut and the count of cuts visited up to it.
+void expectPooledMatchesSequential(const VectorClocks& vc,
+                                   const CutAdmit* admit,
+                                   const std::string& label) {
+  std::vector<CutVec> order;
+  const ExploreResult seq = explore(
+      vc,
+      [&](const Cut& cut) {
+        order.push_back(cut.last);
+        return true;
+      },
+      {nullptr, nullptr, admit});
+  const std::size_t step = std::max<std::size_t>(1, order.size() / 12);
+  for (const int threads : {1, 2, 8}) {
+    par::Pool pool(threads);
+    const std::string t = label + " threads=" + std::to_string(threads);
+    const ExploreResult all =
+        explore(vc, [](const Cut&) { return true; }, {nullptr, &pool, admit});
+    EXPECT_EQ(all.cutsVisited, seq.cutsVisited) << t;
+    EXPECT_EQ(all.levels, seq.levels) << t;
+    EXPECT_EQ(all.widestLevel, seq.widestLevel) << t;
+    EXPECT_EQ(all.peakFrontierBytes, seq.peakFrontierBytes) << t;
+    for (std::size_t i = 0; i < order.size(); i += step) {
+      const CutVec& target = order[i];
+      const ExploreResult stop = explore(
+          vc, [&](const Cut& cut) { return cut.last != target; },
+          {nullptr, &pool, admit});
+      ASSERT_TRUE(stop.stoppedAt.has_value()) << t << " target " << i;
+      EXPECT_EQ(stop.stoppedAt->last, target) << t << " target " << i;
+      EXPECT_EQ(stop.cutsVisited, i + 1) << t << " target " << i;
+    }
+  }
+}
+
+// The restricted BFS under a down-closed `≤ top` admit visits the full
+// order filtered to the cuts below top, sequentially and pooled.
+void expectBelowTopIsFilteredOrder(const VectorClocks& vc, const CutVec& top,
+                                   const std::string& label) {
+  const CutAdmit belowTop = [&](ProcessId p, const Cut& succ) {
+    return succ.last[p] <= top[p];
+  };
+  Levels filtered;
+  for (const std::vector<CutVec>& level : visitedLevels(vc)) {
+    std::vector<CutVec> kept;
+    for (const CutVec& cut : level) {
+      if (Cut{cut}.subsetOf(Cut{top})) kept.push_back(cut);
+    }
+    if (!kept.empty()) filtered.push_back(std::move(kept));
+  }
+  EXPECT_EQ(visitedLevels(vc, {nullptr, nullptr, &belowTop}), filtered)
+      << label;
+  expectPooledMatchesSequential(vc, &belowTop, label + " (below top)");
+}
+
+TEST(LatticeOrderTest, LevelsMatchBruteForceAndTheDocumentedOrder) {
+  Rng rng(20260);
+  for (int n = 1; n <= 6; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      RandomComputationOptions opt;
+      opt.processes = n;
+      opt.eventsPerProcess = n <= 4 ? 4 : 3;
+      opt.messageProbability = 0.15 * static_cast<double>(trial % 4);
+      const Computation c = randomComputation(opt, rng);
+      const VectorClocks vc(c);
+      const std::string label =
+          "n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      expectMatchesReference(vc, bruteForceLevels(vc), label);
+      if (HasFailure()) return;  // a wrong kernel may enumerate a blowup
+      expectPooledMatchesSequential(vc, nullptr, label);
+      // top: the first cut two thirds of the way up the lattice.
+      const Levels levels = visitedLevels(vc);
+      expectBelowTopIsFilteredOrder(vc, levels[levels.size() * 2 / 3].front(),
+                                    label);
+    }
+  }
+}
+
+TEST(LatticeOrderTest, ChainWiderThanOneWordMatchesTheDocumentedOrder) {
+  const Computation c = wideChain(72);
+  const VectorClocks vc(c);
+  const std::vector<std::set<CutVec>> truth = closureLevels(vc);
+  std::size_t total = 0;
+  for (const auto& level : truth) total += level.size();
+  EXPECT_EQ(total, 139u * 27u);  // 2·69 + 1 chain cuts × 3³ free states
+  expectMatchesReference(vc, truth, "chain");
+  if (HasFailure()) return;  // a wrong kernel may enumerate a blowup
+  expectPooledMatchesSequential(vc, nullptr, "chain");
+  CutVec top(72, 2);
+  top[0] = 1;
+  top[71] = 1;
+  for (ProcessId p = 50; p < 71; ++p) top[p] = 0;
+  top[50] = 1;
+  expectBelowTopIsFilteredOrder(vc, top, "chain");
 }
 
 }  // namespace

@@ -466,6 +466,19 @@ int reportDetection(const std::string& label, const detect::Detection& det) {
   return det.outcome == detect::Outcome::Unknown ? 3 : 0;
 }
 
+// Rejects a "p:var" token (a conjunctive term or a CNF literal) whose
+// process or variable the loaded trace lacks.
+void checkTermAgainstTrace(const io::TraceFile& file, const char* kind,
+                           const std::string& token, ProcessId p,
+                           const std::string& var) {
+  GPD_INPUT_CHECK(p >= 0 && p < file.computation->processCount(),
+                  kind << " '" << token << "' names process " << p
+                       << " but the trace has "
+                       << file.computation->processCount());
+  GPD_INPUT_CHECK(file.trace->has(p, var),
+                  "process " << p << " has no variable '" << var << "'");
+}
+
 // Parses "p:var" / "p:!var" terms into a conjunctive predicate, validating
 // process ranges and variable existence against the loaded trace.
 ConjunctivePredicate parseConjunctive(const io::TraceFile& file,
@@ -477,16 +490,11 @@ ConjunctivePredicate parseConjunctive(const io::TraceFile& file,
                     "term '" << term << "' is not of the form p:var");
     const ProcessId p = static_cast<ProcessId>(
         parseInt(term.substr(0, colon), "term process"));
-    GPD_INPUT_CHECK(p >= 0 && p < file.computation->processCount(),
-                    "term '" << term << "' names process " << p
-                             << " but the trace has "
-                             << file.computation->processCount());
     std::string var = term.substr(colon + 1);
     const bool negated = !var.empty() && var[0] == '!';
     if (negated) var = var.substr(1);
     GPD_INPUT_CHECK(!var.empty(), "term '" << term << "' has no variable");
-    GPD_INPUT_CHECK(file.trace->has(p, var),
-                    "process " << p << " has no variable '" << var << "'");
+    checkTermAgainstTrace(file, "term", term, p, var);
     pred.terms.push_back(negated ? varFalse(p, var) : varTrue(p, var));
   }
   return pred;
@@ -524,10 +532,11 @@ int detectConj(const io::TraceFile& file, std::vector<std::string> args,
   return 0;
 }
 
-// Parses "p:var" / "p:!var". Malformed literals are the *user's* input
-// problem: rejected with an InputError pointing at the offending token
-// (exit 1), never silently folded into the usage text.
-BoolLiteral parseLiteral(const std::string& term) {
+// Parses "p:var" / "p:!var" and validates the process range and variable
+// against the loaded trace, like parseConjunctive. Malformed literals are
+// the *user's* input problem: rejected with an InputError pointing at the
+// offending token (exit 1), never silently folded into the usage text.
+BoolLiteral parseLiteral(const io::TraceFile& file, const std::string& term) {
   const auto colon = term.find(':');
   GPD_INPUT_CHECK(colon != std::string::npos,
                   "literal '" << term << "' is not of the form p:var");
@@ -542,12 +551,14 @@ BoolLiteral parseLiteral(const std::string& term) {
   }
   GPD_INPUT_CHECK(!lit.var.empty(),
                   "literal '" << term << "' has no variable name");
+  checkTermAgainstTrace(file, "literal", term, lit.process, lit.var);
   return lit;
 }
 
 // Clauses are argv words; literals within a clause are comma-separated:
 //   gpdtool detect t.trace cnf 0:x,1:x 2:x,3:!x
-CnfPredicate parseCnfPredicate(const std::vector<std::string>& args) {
+CnfPredicate parseCnfPredicate(const io::TraceFile& file,
+                               const std::vector<std::string>& args) {
   CnfPredicate pred;
   for (const std::string& clauseSpec : args) {
     CnfClause clause;
@@ -558,7 +569,7 @@ CnfPredicate parseCnfPredicate(const std::vector<std::string>& args) {
           clauseSpec.substr(start, comma == std::string::npos
                                        ? std::string::npos
                                        : comma - start);
-      clause.push_back(parseLiteral(term));
+      clause.push_back(parseLiteral(file, term));
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
@@ -575,7 +586,7 @@ int detectCnf(const io::TraceFile& file, std::vector<std::string> args,
     args.erase(args.begin());
   }
   if (args.empty()) return usage();
-  const CnfPredicate pred = parseCnfPredicate(args);
+  const CnfPredicate pred = parseCnfPredicate(file, args);
   detect::Detector detector(*file.trace);
   detector.usePool(pool);
   detector.enableSlicing(!noSlice);
@@ -749,8 +760,8 @@ int planCmd(std::vector<std::string> args) {
                                       parseConjunctive(file, rest), modality);
   } else if (kind == "cnf") {
     if (rest.empty()) return usage();
-    report = analyze::planCnf(clocks, *file.trace, parseCnfPredicate(rest),
-                              modality);
+    report = analyze::planCnf(clocks, *file.trace,
+                              parseCnfPredicate(file, rest), modality);
   } else if (kind == "sum") {
     if (rest.size() != 3) return usage();
     report = analyze::planSum(clocks, *file.trace,
