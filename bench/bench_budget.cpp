@@ -135,9 +135,10 @@ int main() {
               overhead(plain, budgeted));
   }
 
-  // --- Detector facade on a polynomial path (CPDHB conjunctive): the
-  //     budgeted overload re-plans and walks the plan; per-query cost,
-  //     repeated for stability.
+  // --- Detector facade on a polynomial path (CPDHB conjunctive): both
+  //     overloads plan and walk the plan, the unbudgeted one under an
+  //     unlimited Budget, so the row prices what a live deadline adds;
+  //     per-query cost, repeated for stability.
   {
     constexpr int kReps = 64;
     RandomComputationOptions opt;

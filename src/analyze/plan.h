@@ -8,9 +8,10 @@
 // process-enumeration bound, kⱼ ≤ k for k-CNF, hence the paper's kᵐ), for
 // CPDSC the meta-process scan, for sums the Theorem 4/7 preconditions.
 //
-// Detector dispatches off report.chosen() — the planner is the single
-// source of truth for routing, and Algorithm names round-trip through
-// toString() to the exact Detector::lastAlgorithm() strings.
+// Detector walks report.steps and, unless a budget skips or stops a step,
+// answers with report.chosen() — the planner is the single source of truth
+// for routing, and Algorithm names round-trip through toString() to the
+// exact Detector::lastAlgorithm() strings.
 #pragma once
 
 #include <cstdint>

@@ -2,31 +2,35 @@
 //
 // Routing is delegated to the static-analysis planner (src/analyze): every
 // call first builds an analyze::AnalysisReport — the ranked algorithm plan
-// of the paper's complexity landscape (Fig. 1) — then runs the plan's
-// chosen step:
+// of the paper's complexity landscape (Fig. 1) — then walks it, running the
+// first applicable step:
 //
 //   conjunctive                → CPDHB                       (polynomial)
 //   singular CNF,
 //     receive-/send-ordered    → CPDSC meta-process scan     (polynomial)
 //     general                  → chain-cover enumeration     (Π cⱼ · CPDHB)
-//   non-singular CNF           → lattice enumeration         (exponential)
+//   non-singular CNF,
+//     regular skeleton         → slice-first lattice search  (sublattice)
+//     otherwise                → lattice enumeration         (exponential)
 //   Σxᵢ relop K, relop ≠ "="   → min-cut extrema             (polynomial)
 //   Σxᵢ = K, |ΔS| ≤ 1          → Theorem 7                   (polynomial)
 //   Σxᵢ = K, arbitrary Δ       → lattice enumeration         (NP-complete)
 //   symmetric                  → disjunction of exact sums   (polynomial)
 //
-// `lastAlgorithm()` reports which branch ran (the chosen step's name), and
-// `lastReport()` exposes the full plan — the same artifact `gpdtool plan`
-// prints — so examples and logs can show the dispatch decision.
+// `lastAlgorithm()` reports which step answered, and `lastReport()` exposes
+// the full plan — the same artifact `gpdtool plan` prints — so examples and
+// logs can show the dispatch decision.
 //
-// The budgeted overloads (control::Budget&) return a three-valued Detection
-// and degrade gracefully instead of running an exponential step to
-// completion: the plan walk skips steps whose planner-predicted CPDHB
-// invocation count exceeds the budget's remaining combinations, refuses to
-// fall through to an exhaustive lattice step the budget cannot stop, and —
-// before conceding Unknown — reruns the cheapest skipped enumeration as a
-// bounded Yes-prover (it scans selections until the budget trips; a witness
-// it finds is a genuine Yes). A budgeted run that completes within its
+// There is one plan walk per query. The budgeted overloads
+// (control::Budget&) return a three-valued Detection and degrade gracefully
+// instead of running an exponential step to completion: the walk skips
+// steps whose planner-predicted CPDHB invocation count exceeds the budget's
+// remaining combinations, refuses to fall through to an exhaustive lattice
+// step the budget cannot stop, and — before conceding Unknown — reruns the
+// cheapest skipped enumeration as a bounded Yes-prover (it scans selections
+// until the budget trips; a witness it finds is a genuine Yes). The
+// unbudgeted overloads run the same walk under an unlimited Budget, which
+// never skips or stops a step, so a budgeted run that completes within its
 // budget returns exactly the unbudgeted answer and lastAlgorithm() string.
 #pragma once
 
@@ -81,14 +85,15 @@ class Detector {
   void enableSlicing(bool on) { slicing_ = on; }
   bool slicingEnabled() const { return slicing_; }
 
-  // possibly(φ): witness cut or nullopt.
+  // possibly(φ): witness cut or nullopt. Runs the budgeted twin under an
+  // unlimited Budget.
   std::optional<Cut> possibly(const ConjunctivePredicate& pred);
   std::optional<Cut> possibly(const CnfPredicate& pred);
   std::optional<Cut> possibly(const SumPredicate& pred);
   std::optional<Cut> possibly(const SymmetricPredicate& pred);
   std::optional<Cut> possibly(const BoolExpr& expr);
 
-  // definitely(φ).
+  // definitely(φ), likewise.
   bool definitely(const ConjunctivePredicate& pred);
   bool definitely(const CnfPredicate& pred);
   bool definitely(const SumPredicate& pred);
@@ -119,14 +124,9 @@ class Detector {
   const std::optional<SliceTrace>& lastSlice() const { return lastSlice_; }
 
  private:
-  // Adopts `report` as the last routing decision and returns the chosen
-  // algorithm.
-  analyze::Algorithm route(analyze::AnalysisReport report);
-
-  // Stores `report` (stamped with the pool's thread count) as the last
-  // routing decision, for the budgeted entry points that walk the whole
-  // plan rather than dispatching on chosen().
-  const analyze::AnalysisReport& adopt(analyze::AnalysisReport report);
+  // Stores `report` (stamped with the pool's thread count) as the plan the
+  // query walks.
+  void adopt(analyze::AnalysisReport report);
 
   // Generic lattice searches, routed through the pool when one is set.
   lattice::CutSearchResult searchLattice(const lattice::CutPredicate& phi,

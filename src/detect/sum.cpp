@@ -140,47 +140,30 @@ std::optional<Cut> possiblySum(const VectorClocks& clocks,
   return std::nullopt;
 }
 
-std::optional<Cut> detectExactSumExhaustive(const VectorClocks& clocks,
-                                            const VariableTrace& trace,
-                                            const SumPredicate& pred) {
-  return detectExactSumBudgeted(clocks, trace, pred, nullptr).cut;
-}
-
-ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
-                                      const VariableTrace& trace,
-                                      const SumPredicate& pred,
-                                      control::Budget* budget) {
+ExactSumSearch detectExactSumExhaustive(const VectorClocks& clocks,
+                                        const VariableTrace& trace,
+                                        const SumPredicate& pred,
+                                        control::Budget* budget,
+                                        par::Pool* pool) {
   GPD_CHECK(pred.relop == Relop::Equal);
   GPD_TRACE_SPAN("detect.sum.exact_search");
   const SumPredicate::Bound bound = pred.bind(trace);
   const lattice::CutSearchResult search = lattice::possibly(
       clocks, [&](const Cut& cut) { return bound.sum(cut) == pred.k; },
-      {budget});
-  ExactSumSearch result;
-  result.cut = search.witness;
-  result.complete = search.complete;
-  result.explore = search.explore;
-  return result;
+      {budget, pool});
+  return {search.witness, search.complete};
 }
 
-bool definitelySum(const VectorClocks& clocks, const VariableTrace& trace,
-                   const SumPredicate& pred) {
-  const SumDecision decision =
-      definitelySumBudgeted(clocks, trace, pred, nullptr);
-  GPD_CHECK(decision.decided);
-  return decision.holds;
-}
-
-SumDecision definitelySumBudgeted(const VectorClocks& clocks,
-                                  const VariableTrace& trace,
-                                  const SumPredicate& pred,
-                                  control::Budget* budget) {
+SumDecision definitelySum(const VectorClocks& clocks,
+                          const VariableTrace& trace, const SumPredicate& pred,
+                          control::Budget* budget, par::Pool* pool) {
   GPD_TRACE_SPAN("detect.sum.definitely");
   SumDecision result;
   if (pred.relop != Relop::Equal) {
     const SumPredicate::Bound bound = pred.bind(trace);
     const lattice::DefinitelyDecision d = lattice::definitely(
-        clocks, [&](const Cut& cut) { return bound.holds(cut); }, {budget});
+        clocks, [&](const Cut& cut) { return bound.holds(cut); },
+        {budget, pool});
     result.decided = d.decided;
     result.holds = d.decided && d.holds;
     return result;
@@ -199,7 +182,8 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   bool anyUndecided = false;
   if (deltas.base <= pred.k) {
     const lattice::DefinitelyDecision d = lattice::definitely(
-        clocks, [&](const Cut& c) { return sumAt(c) >= pred.k; }, {budget});
+        clocks, [&](const Cut& c) { return sumAt(c) >= pred.k; },
+        {budget, pool});
     if (d.decided && d.holds) {
       result.holds = true;
       return result;
@@ -208,7 +192,8 @@ SumDecision definitelySumBudgeted(const VectorClocks& clocks,
   }
   if (deltas.base >= pred.k) {
     const lattice::DefinitelyDecision d = lattice::definitely(
-        clocks, [&](const Cut& c) { return sumAt(c) <= pred.k; }, {budget});
+        clocks, [&](const Cut& c) { return sumAt(c) <= pred.k; },
+        {budget, pool});
     if (d.decided && d.holds) {
       result.holds = true;
       return result;

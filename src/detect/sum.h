@@ -17,17 +17,23 @@
 //
 // definitely(S relop K) is decided exactly against the lattice
 // (lattice::definitely); Theorem 7(2) reduces definitely(S = K) with
-// bounded Δ to the two inequality modalities, which definitelySumEquals
+// bounded Δ to the two inequality modalities, which definitelySum
 // implements.
+//
+// The lattice-backed kernels take the trailing `budget, pool` pair of the
+// other super-polynomial detectors: a budget can stop them early (the
+// result then says so), and a pool runs the lattice searches on its
+// workers with a bit-identical result (lattice::ExploreOptions).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "clocks/vector_clock.h"
 #include "computation/cut.h"
 #include "control/budget.h"
-#include "lattice/explore.h"
+#include "par/pool.h"
 #include "predicates/relational.h"
 
 namespace gpd::detect {
@@ -51,41 +57,32 @@ std::optional<Cut> possiblySum(const VectorClocks& clocks,
                                const SumPredicate& pred);
 
 // Exhaustive possibly for Relop::Equal with arbitrary Δ (Theorem 2 says
-// nothing better exists in general): lattice search.
-std::optional<Cut> detectExactSumExhaustive(const VectorClocks& clocks,
-                                            const VariableTrace& trace,
-                                            const SumPredicate& pred);
-
-// Budgeted lattice search for Relop::Equal with arbitrary Δ. A cut is always
-// a genuine witness; complete=false means the lattice was not exhausted, so
-// an absent cut is "unknown" rather than "no".
+// nothing better exists in general): lattice search. A cut is always a
+// genuine witness; complete=false means the budget stopped the search before
+// the lattice was exhausted, so an absent cut is "unknown" rather than "no".
 struct ExactSumSearch {
   std::optional<Cut> cut;
   bool complete = true;
-  lattice::ExploreResult explore;
 };
-ExactSumSearch detectExactSumBudgeted(const VectorClocks& clocks,
-                                      const VariableTrace& trace,
-                                      const SumPredicate& pred,
-                                      control::Budget* budget);
+ExactSumSearch detectExactSumExhaustive(const VectorClocks& clocks,
+                                        const VariableTrace& trace,
+                                        const SumPredicate& pred,
+                                        control::Budget* budget = nullptr,
+                                        par::Pool* pool = nullptr);
 
 // definitely(Σ xᵢ relop K), exact (lattice-based for the inequality
 // modalities; Relop::Equal uses the Theorem 7(2) reduction and requires
-// |Δ| ≤ 1).
-bool definitelySum(const VectorClocks& clocks, const VariableTrace& trace,
-                   const SumPredicate& pred);
-
-// Budgeted definitely. decided=false means the budget stopped the lattice
-// analysis before either answer was provable; for Relop::Equal the
-// Theorem 7(2) disjunction stays sound — a branch proved true decides the
-// whole predicate even when the sibling branch was cut short.
+// |Δ| ≤ 1). decided=false means the budget stopped the lattice analysis
+// before either answer was provable; for Relop::Equal the Theorem 7(2)
+// disjunction stays sound — a branch proved true decides the whole
+// predicate even when the sibling branch was cut short.
 struct SumDecision {
   bool decided = true;
   bool holds = false;
 };
-SumDecision definitelySumBudgeted(const VectorClocks& clocks,
-                                  const VariableTrace& trace,
-                                  const SumPredicate& pred,
-                                  control::Budget* budget);
+SumDecision definitelySum(const VectorClocks& clocks,
+                          const VariableTrace& trace, const SumPredicate& pred,
+                          control::Budget* budget = nullptr,
+                          par::Pool* pool = nullptr);
 
 }  // namespace gpd::detect

@@ -2,7 +2,6 @@
 
 #include "lattice/explore.h"
 #include "obs/trace.h"
-#include "util/check.h"
 
 namespace gpd::detect {
 
@@ -16,22 +15,14 @@ std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
   return std::nullopt;
 }
 
-bool definitelySymmetric(const VectorClocks& clocks, const VariableTrace& trace,
-                         const SymmetricPredicate& pred) {
-  const SumDecision decision =
-      definitelySymmetricBudgeted(clocks, trace, pred, nullptr);
-  GPD_CHECK(decision.decided);
-  return decision.holds;
-}
-
-SumDecision definitelySymmetricBudgeted(const VectorClocks& clocks,
-                                        const VariableTrace& trace,
-                                        const SymmetricPredicate& pred,
-                                        control::Budget* budget) {
+SumDecision definitelySymmetric(const VectorClocks& clocks,
+                                const VariableTrace& trace,
+                                const SymmetricPredicate& pred,
+                                control::Budget* budget, par::Pool* pool) {
   GPD_TRACE_SPAN("detect.symmetric.definitely");
   const lattice::DefinitelyDecision d = lattice::definitely(
       clocks, [&](const Cut& cut) { return pred.holdsAtCut(trace, cut); },
-      {budget});
+      {budget, pool});
   SumDecision result;
   result.decided = d.decided;
   result.holds = d.decided && d.holds;

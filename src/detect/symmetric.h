@@ -13,6 +13,7 @@
 #include "computation/cut.h"
 #include "control/budget.h"
 #include "detect/sum.h"
+#include "par/pool.h"
 #include "predicates/symmetric.h"
 
 namespace gpd::detect {
@@ -22,15 +23,13 @@ std::optional<Cut> possiblySymmetric(const VectorClocks& clocks,
                                      const VariableTrace& trace,
                                      const SymmetricPredicate& pred);
 
-// Exact definitely(φ) via lattice exploration.
-bool definitelySymmetric(const VectorClocks& clocks, const VariableTrace& trace,
-                         const SymmetricPredicate& pred);
-
-// Budgeted definitely(φ): decided=false when the budget stopped the lattice
-// analysis before an answer was provable.
-SumDecision definitelySymmetricBudgeted(const VectorClocks& clocks,
-                                        const VariableTrace& trace,
-                                        const SymmetricPredicate& pred,
-                                        control::Budget* budget);
+// Exact definitely(φ) via lattice exploration, with the budget/pool
+// contract of definitelySum: decided=false when the budget stopped the
+// lattice analysis before an answer was provable.
+SumDecision definitelySymmetric(const VectorClocks& clocks,
+                                const VariableTrace& trace,
+                                const SymmetricPredicate& pred,
+                                control::Budget* budget = nullptr,
+                                par::Pool* pool = nullptr);
 
 }  // namespace gpd::detect

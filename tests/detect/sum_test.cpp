@@ -137,7 +137,7 @@ TEST(PossiblySumTest, ExactSumBoundedMatchesLattice) {
     pred.relop = Relop::Equal;
     pred.k = rng.uniform(-3, 3);
     const auto witness = possiblySum(vc, trace, pred);
-    const auto exhaustive = detectExactSumExhaustive(vc, trace, pred);
+    const auto exhaustive = detectExactSumExhaustive(vc, trace, pred).cut;
     ASSERT_EQ(witness.has_value(), exhaustive.has_value())
         << "trial " << trial << " K=" << pred.k;
     if (witness) {
@@ -159,9 +159,9 @@ TEST(PossiblySumTest, UnboundedDeltaRejectedForEquality) {
   SumPredicate pred{{{0, "x"}}, Relop::Equal, 3, };
   EXPECT_THROW(possiblySum(vc, trace, pred), CheckFailure);
   // The exhaustive fallback handles it.
-  EXPECT_FALSE(detectExactSumExhaustive(vc, trace, pred).has_value());
+  EXPECT_FALSE(detectExactSumExhaustive(vc, trace, pred).cut.has_value());
   pred.k = 5;
-  EXPECT_TRUE(detectExactSumExhaustive(vc, trace, pred).has_value());
+  EXPECT_TRUE(detectExactSumExhaustive(vc, trace, pred).cut.has_value());
 }
 
 TEST(PossiblySumTest, InitialCutWitnessWhenBaseEqualsK) {
@@ -197,7 +197,7 @@ TEST(DefinitelySumTest, Theorem7ReductionMatchesDirectDefinitely) {
     pred.terms = allTerms(c, "x");
     pred.relop = Relop::Equal;
     pred.k = rng.uniform(-2, 2);
-    const bool viaTheorem = definitelySum(vc, trace, pred);
+    const bool viaTheorem = definitelySum(vc, trace, pred).holds;
     const bool direct = lattice::definitely(vc, [&](const Cut& cut) {
       return pred.sumAtCut(trace, cut) == pred.k;
     }).holds;
@@ -222,7 +222,7 @@ TEST(DefinitelySumTest, InequalityModalities) {
     pred.terms = allTerms(c, "x");
     pred.relop = trial % 2 ? Relop::GreaterEq : Relop::LessEq;
     pred.k = rng.uniform(-3, 3);
-    const bool got = definitelySum(vc, trace, pred);
+    const bool got = definitelySum(vc, trace, pred).holds;
     const bool expected = lattice::definitely(vc, [&](const Cut& cut) {
       return pred.holdsAtCut(trace, cut);
     }).holds;

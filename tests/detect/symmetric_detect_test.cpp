@@ -94,7 +94,7 @@ TEST(SymmetricDetectTest, DefinitelyMatchesLattice) {
     defineRandomBools(trace, "x", 0.5, rng);
     const VectorClocks vc(c);
     const SymmetricPredicate pred = notAllEqual(allVars(c));
-    const bool got = definitelySymmetric(vc, trace, pred);
+    const bool got = definitelySymmetric(vc, trace, pred).holds;
     const bool expected =
         lattice::definitely(vc, [&](const Cut& cut) {
           return pred.holdsAtCut(trace, cut);

@@ -4,8 +4,12 @@
 //      the unbudgeted run — same outcome, same witness cut, and the same
 //      lastAlgorithm() string (the budget must not change routing).
 //   2. Under an arbitrarily tiny budget the answer is either the exact
-//      unbudgeted answer or Unknown with a stop reason naming a limit that
-//      actually tripped — never a wrong Yes/No.
+//      answer or Unknown with a stop reason naming a limit that actually
+//      tripped — never a wrong Yes/No.
+//
+// The unbudgeted overloads walk the same plan under an unlimited budget, so
+// the verdicts are checked against an independent oracle: the exhaustive
+// lattice search over the by-name predicate.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +18,7 @@
 #include "computation/random.h"
 #include "control/budget.h"
 #include "detect/detector.h"
+#include "lattice/explore.h"
 #include "predicates/random_trace.h"
 
 namespace gpd::detect {
@@ -84,34 +89,63 @@ struct Corpus {
 };
 
 template <typename Pred>
+bool holds(const Pred& pred, const VariableTrace& trace, const Cut& cut) {
+  return pred.holdsAtCut(trace, cut);
+}
+
+bool holds(const BoolExpr& expr, const VariableTrace& trace, const Cut& cut) {
+  return expr.evaluate(trace, cut);
+}
+
+// Ground truth from the exhaustive lattice over the by-name predicate.
+template <typename Pred>
+bool possiblyTruth(const Detector& det, const VariableTrace& trace,
+                   const Pred& pred) {
+  return lattice::possibly(det.clocks(), [&](const Cut& cut) {
+           return holds(pred, trace, cut);
+         }).witness.has_value();
+}
+
+template <typename Pred>
+bool definitelyTruth(const Detector& det, const VariableTrace& trace,
+                     const Pred& pred) {
+  return lattice::definitely(det.clocks(), [&](const Cut& cut) {
+           return holds(pred, trace, cut);
+         }).holds;
+}
+
+template <typename Pred>
 void expectPossiblyBitIdentical(Detector& det, const VariableTrace& trace,
                                 const Pred& pred, const std::string& label) {
+  const bool truth = possiblyTruth(det, trace, pred);
   const std::optional<Cut> exact = det.possibly(pred);
   const std::string algorithm = det.lastAlgorithm();
+  EXPECT_EQ(exact.has_value(), truth) << label << ": unbudgeted";
   control::Budget budget = generousBudget();
   const Detection d = det.possibly(pred, budget);
   ASSERT_NE(d.outcome, Outcome::Unknown) << label << ": generous budget";
-  EXPECT_EQ(d.outcome == Outcome::Yes, exact.has_value()) << label;
+  EXPECT_EQ(d.outcome == Outcome::Yes, truth) << label;
   EXPECT_EQ(d.algorithm, algorithm) << label;
   EXPECT_TRUE(d.skippedSteps.empty()) << label;
   if (exact.has_value()) {
     ASSERT_TRUE(d.witness.has_value()) << label;
     EXPECT_EQ(d.witness->last, exact->last) << label;
-    EXPECT_TRUE(pred.holdsAtCut(trace, *d.witness)) << label;
+    EXPECT_TRUE(holds(pred, trace, *d.witness)) << label;
   } else {
     EXPECT_FALSE(d.witness.has_value()) << label;
   }
 }
 
 template <typename Pred>
-void expectDefinitelyBitIdentical(Detector& det, const Pred& pred,
-                                  const std::string& label) {
-  const bool exact = det.definitely(pred);
+void expectDefinitelyBitIdentical(Detector& det, const VariableTrace& trace,
+                                  const Pred& pred, const std::string& label) {
+  const bool truth = definitelyTruth(det, trace, pred);
+  EXPECT_EQ(det.definitely(pred), truth) << label << ": unbudgeted";
   const std::string algorithm = det.lastAlgorithm();
   control::Budget budget = generousBudget();
   const Detection d = det.definitely(pred, budget);
   ASSERT_NE(d.outcome, Outcome::Unknown) << label << ": generous budget";
-  EXPECT_EQ(d.outcome == Outcome::Yes, exact) << label;
+  EXPECT_EQ(d.outcome == Outcome::Yes, truth) << label;
   EXPECT_EQ(d.algorithm, algorithm) << label;
   EXPECT_TRUE(d.skippedSteps.empty()) << label;
 }
@@ -178,28 +212,20 @@ TEST(BudgetPropertyTest, GenerousBudgetIsBitIdenticalToUnbudgeted) {
     expectPossiblyBitIdentical(det, corpus.trace, notAllEqual(vars),
                                t + " symmetric");
 
-    expectDefinitelyBitIdentical(det, allTrue(4), t + " def-conj");
-    expectDefinitelyBitIdentical(det, singularCnf(rng), t + " def-cnf");
-    expectDefinitelyBitIdentical(det, sumPred("c1", Relop::GreaterEq, 1),
-                                 t + " def-sum-ge");
-    expectDefinitelyBitIdentical(det, sumPred("c1", Relop::Equal, 1),
-                                 t + " def-sum-eq");
-    expectDefinitelyBitIdentical(det, notAllEqual(vars), t + " def-sym");
+    expectPossiblyBitIdentical(det, corpus.trace, *mixedExpr(), t + " expr");
 
-    // BoolExpr possibly (witness verified through evaluate()).
-    const BoolExprPtr expr = mixedExpr();
-    const std::optional<Cut> exact = det.possibly(*expr);
-    const std::string algorithm = det.lastAlgorithm();
-    control::Budget budget = generousBudget();
-    const Detection d = det.possibly(*expr, budget);
-    ASSERT_NE(d.outcome, Outcome::Unknown) << t << " expr";
-    EXPECT_EQ(d.outcome == Outcome::Yes, exact.has_value()) << t << " expr";
-    EXPECT_EQ(d.algorithm, algorithm) << t << " expr";
-    if (exact.has_value()) {
-      ASSERT_TRUE(d.witness.has_value()) << t << " expr";
-      EXPECT_EQ(d.witness->last, exact->last) << t << " expr";
-      EXPECT_TRUE(expr->evaluate(corpus.trace, *d.witness)) << t << " expr";
-    }
+    expectDefinitelyBitIdentical(det, corpus.trace, allTrue(4),
+                                 t + " def-conj");
+    expectDefinitelyBitIdentical(det, corpus.trace, singularCnf(rng),
+                                 t + " def-cnf");
+    expectDefinitelyBitIdentical(det, corpus.trace,
+                                 sumPred("c1", Relop::GreaterEq, 1),
+                                 t + " def-sum-ge");
+    expectDefinitelyBitIdentical(det, corpus.trace,
+                                 sumPred("c1", Relop::Equal, 1),
+                                 t + " def-sum-eq");
+    expectDefinitelyBitIdentical(det, corpus.trace, notAllEqual(vars),
+                                 t + " def-sym");
   }
 }
 
@@ -216,10 +242,11 @@ TEST(BudgetPropertyTest, TinyBudgetsAreExactOrHonestlyUnknown) {
     const CnfPredicate nonSingular = nonSingularCnf(rng);
     const SumPredicate wide = sumPred("c2", Relop::Equal, 2);
 
-    const bool singularTruth = det.possibly(singular).has_value();
-    const bool nonSingularTruth = det.possibly(nonSingular).has_value();
-    const bool wideTruth = det.possibly(wide).has_value();
-    const bool defTruth = det.definitely(nonSingular);
+    const bool singularTruth = possiblyTruth(det, corpus.trace, singular);
+    const bool nonSingularTruth =
+        possiblyTruth(det, corpus.trace, nonSingular);
+    const bool wideTruth = possiblyTruth(det, corpus.trace, wide);
+    const bool defTruth = definitelyTruth(det, corpus.trace, nonSingular);
 
     for (const std::uint64_t cap : {1, 2, 4, 16}) {
       for (const bool capCuts : {false, true}) {

@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "computation/random.h"
 #include "control/budget.h"
@@ -76,12 +77,18 @@ ConjunctivePredicate allTrue(int processes) {
   return pred;
 }
 
-SumPredicate wideSum() {
+SumPredicate wideSum(Relop relop = Relop::Equal) {
   SumPredicate pred;
   for (ProcessId p = 0; p < 4; ++p) pred.terms.push_back({p, "c2"});
-  pred.relop = Relop::Equal;
+  pred.relop = relop;
   pred.k = 2;
   return pred;
+}
+
+SymmetricPredicate notAllEqualX() {
+  std::vector<SumTerm> vars;
+  for (ProcessId p = 0; p < 4; ++p) vars.push_back({p, "x"});
+  return notAllEqual(vars);
 }
 
 // Canonical checkpoint string of a Detection — every field a caller could
@@ -289,8 +296,10 @@ TEST(ParPropertyTest, LatticeProgressMatchesSequentialForAnyThreadCount) {
 
 // Detector-level: the routed facade with a pool produces byte-identical
 // checkpoints to the sequential facade for every predicate class that can
-// reach a parallel kernel — including Unknown results, where even the
-// progress counters must serialize identically.
+// reach a parallel kernel — the singular enumeration, the Σ = K lattice
+// search, and the Σ ≥ K / symmetric / conjunctive definitely searches —
+// including Unknown results, where even the progress counters must
+// serialize identically.
 TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
   Rng rng(173205);
   PoolSet pools;
@@ -301,6 +310,8 @@ TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
     const CnfPredicate cnf = singularCnf(rng);
     const ConjunctivePredicate conj = allTrue(4);
     const SumPredicate wide = wideSum();
+    const SumPredicate wideGe = wideSum(Relop::GreaterEq);
+    const SymmetricPredicate sym = notAllEqualX();
     const std::string t = "trial " + std::to_string(trial);
 
     control::BudgetLimits generous;
@@ -309,21 +320,31 @@ TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
     tiny.maxCuts = 4;
     tiny.maxCombinations = 2;
 
+    // Every query of the sweep, run under a fresh budget of `limits`.
+    const auto runAll = [&](const control::BudgetLimits& limits,
+                            bool useTiny) {
+      std::vector<std::string> out;
+      const auto run = [&](auto query) {
+        control::Budget budget(limits);
+        out.push_back(checkpoint(query(budget), useTiny));
+      };
+      run([&](control::Budget& b) { return det.possibly(cnf, b); });
+      run([&](control::Budget& b) { return det.possibly(wide, b); });
+      run([&](control::Budget& b) { return det.definitely(conj, b); });
+      run([&](control::Budget& b) { return det.definitely(wideGe, b); });
+      run([&](control::Budget& b) { return det.definitely(sym, b); });
+      return out;
+    };
+    static const char* const kQueries[] = {"cnf", "wide", "def-conj",
+                                           "def-wide-ge", "def-sym"};
+
     for (const bool useTiny : {false, true}) {
       const control::BudgetLimits& limits = useTiny ? tiny : generous;
       const std::string b = useTiny ? " tiny" : " generous";
 
       det.usePool(nullptr);
-      control::Budget cnfSeq(limits);
-      const std::string cnfRef =
-          checkpoint(det.possibly(cnf, cnfSeq), useTiny);
-      control::Budget wideSeq(limits);
-      const std::string wideRef =
-          checkpoint(det.possibly(wide, wideSeq), useTiny);
-      control::Budget defSeq(limits);
-      const std::string defRef =
-          checkpoint(det.definitely(conj, defSeq), useTiny);
-      if (cnfRef.find("unknown") == 0 || wideRef.find("unknown") == 0) {
+      const std::vector<std::string> ref = runAll(limits, useTiny);
+      if (ref[0].find("unknown") == 0 || ref[1].find("unknown") == 0) {
         ++unknowns;
       }
 
@@ -331,15 +352,10 @@ TEST(ParPropertyTest, DetectorCheckpointsAreByteIdenticalAcrossThreads) {
         det.usePool(pool);
         const std::string label =
             t + b + " threads=" + std::to_string(pool->threads());
-        control::Budget cnfPar(limits);
-        EXPECT_EQ(checkpoint(det.possibly(cnf, cnfPar), useTiny), cnfRef)
-            << label;
-        control::Budget widePar(limits);
-        EXPECT_EQ(checkpoint(det.possibly(wide, widePar), useTiny), wideRef)
-            << label;
-        control::Budget defPar(limits);
-        EXPECT_EQ(checkpoint(det.definitely(conj, defPar), useTiny), defRef)
-            << label;
+        const std::vector<std::string> got = runAll(limits, useTiny);
+        for (std::size_t q = 0; q < ref.size(); ++q) {
+          EXPECT_EQ(got[q], ref[q]) << label << ' ' << kQueries[q];
+        }
       }
       det.usePool(nullptr);
     }

@@ -231,7 +231,7 @@ int inspect(const std::string& path) {
   }
   if (comp.totalEvents() <= 2000) {
     const VectorClocks clocks(comp);
-    const analysis::ComputationStats stats = analysis::computeStats(clocks);
+    const analyze::ComputationStats stats = analyze::computeStats(clocks);
     std::cout << "height:    " << stats.height << "  (longest causal chain)\n";
     std::cout << "width:     " << stats.width << "  (largest antichain)\n";
     char idx[32];
